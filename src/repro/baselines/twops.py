@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clustering import cluster_capacity
+from repro.core.game import initial_assignment
 from repro.core.postprocess import max_load
 from repro.core.stream import degrees_np
 
@@ -49,18 +50,6 @@ def twops_cluster(
     return v2c, vol[:next_id]
 
 
-def pack_clusters(volumes: np.ndarray, k: int) -> np.ndarray:
-    """First-fit-decreasing packing of clusters onto k partitions."""
-    order = np.argsort(-volumes, kind="stable")
-    loads = np.zeros(k)
-    c2p = np.zeros(len(volumes), dtype=np.int64)
-    for c in order:
-        p = int(np.argmin(loads))
-        c2p[c] = p
-        loads[p] += volumes[c]
-    return c2p
-
-
 def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
     """Run both 2PS-L phases; returns the per-edge partition array."""
     n_e = len(edges)
@@ -68,7 +57,7 @@ def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarra
     degrees = degrees_np(edges, n_v)
     kappa = cluster_capacity(n_e, k)
     v2c, vol = twops_cluster(edges, kappa, degrees)
-    c2p = pack_clusters(vol, k)
+    c2p = initial_assignment(vol, k)
     cap = max_load(n_e, k, tau)
     loads = np.zeros(k, dtype=np.int64)
     out = np.empty(n_e, dtype=np.int64)

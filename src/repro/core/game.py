@@ -14,8 +14,6 @@ Batch parallelism (Section 4.4) is modeled faithfully: moves within a
 batch are computed against a frozen snapshot of loads and strategies,
 then applied together; ``batch_size=1`` recovers fully sequential best
 response (which carries the potential-function convergence guarantee).
-A Spark DataFrame implementation of one synchronous round lives in
-:mod:`repro.core.spark_game`.
 """
 from __future__ import annotations
 
@@ -180,8 +178,8 @@ def synchronous_round(
     g: ClusterGraph, c2p: np.ndarray, k: int, delta: float
 ) -> np.ndarray:
     """One fully synchronous best-response round (all clusters, frozen
-    snapshot). Reference semantics for the Spark DataFrame round in
-    :mod:`repro.core.spark_game`."""
+    snapshot): the reference the equilibrium-stability test checks a
+    finished game against."""
     loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
     out = c2p.copy()
     for c in range(g.n):

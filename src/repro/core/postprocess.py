@@ -27,7 +27,6 @@ def assign_edges(
     k: int,
     *,
     tau: float = 1.0,
-    cap: int | None = None,
 ) -> np.ndarray:
     """Run Algorithm 3; returns the per-edge partition array.
 
@@ -37,8 +36,7 @@ def assign_edges(
     maxLoad).
     """
     n_e = len(edge_cu)
-    if cap is None:
-        cap = max_load(n_e, k, tau) if math.isfinite(tau) else n_e + 1
+    cap = max_load(n_e, k, tau) if math.isfinite(tau) else n_e + 1
     pu = c2p[edge_cu]
     pv = c2p[edge_cv]
     is_head = edge_is_head

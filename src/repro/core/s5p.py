@@ -2,8 +2,9 @@
 
 Pipeline (Figure 2): skewness-aware clustering (Alg. 1) → two-stage
 Stackelberg game over clusters (Alg. 2) → edge-level postprocessing
-(Alg. 3). Spark entry points take/return DataFrames; the numpy core is
-what jobs call in parameter sweeps.
+(Alg. 3). Jobs reach it through the partitioner registry in
+:mod:`repro.baselines.api`, whose Spark wrapper does the DataFrame round
+trip.
 """
 from __future__ import annotations
 
@@ -11,13 +12,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .clustering import ClusteringResult, skewness_aware_clustering
 from .game import GameResult, stackelberg_game
 from .postprocess import assign_edges
-from .stream import df_to_edges
 from .theta import CMSTheta, ExactTheta
 
 
@@ -45,8 +43,6 @@ def s5p_partition_np(
     tau: float = 1.0,
     beta: float = 1.0,
     use_cms: bool = True,
-    eps: float = 0.1,
-    nu: float = 0.01,
     batch_size: int = 1,
     max_rounds: int = 64,
     one_stage: bool = False,
@@ -76,7 +72,7 @@ def s5p_partition_np(
     stats.kappa = clustering.kappa
 
     t0 = time.perf_counter()
-    theta = CMSTheta(eps=eps, nu=nu) if use_cms else ExactTheta()
+    theta = CMSTheta() if use_cms else ExactTheta()
     cu, cv = clustering.cut_pairs
     theta.add_pairs(cu, cv)
     stats.theta_bytes = theta.nbytes
@@ -109,15 +105,3 @@ def s5p_partition_np(
     )
     stats.timings["postprocess"] = time.perf_counter() - t0
     return part, stats
-
-
-def s5p_partition(
-    spark: SparkSession, edges_df: DataFrame, k: int, **kwargs
-) -> tuple[DataFrame, S5PStats]:
-    """Spark entry point: stream DataFrame in, assignment DataFrame out."""
-    edges = df_to_edges(edges_df)
-    part, stats = s5p_partition_np(edges, k, **kwargs)
-    assign = pd.DataFrame(
-        {"eid": np.arange(len(part), dtype=np.int64), "partition": part}
-    )
-    return spark.createDataFrame(assign), stats

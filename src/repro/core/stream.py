@@ -60,8 +60,3 @@ def relabel_dense(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.unique(edges)
     pos = np.searchsorted(ids, edges)
     return pos.astype(np.int64), ids
-
-
-def n_vertices(edges: np.ndarray) -> int:
-    """Number of distinct vertices appearing in the stream."""
-    return len(np.unique(edges))

@@ -31,6 +31,15 @@ def decode_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes >> _SHIFT, codes & np.int64((1 << 32) - 1)
 
 
+def _find(sorted_codes: np.ndarray, ci: int, cj: int) -> int | None:
+    """Index of the pair (c_i, c_j) in a sorted code array, or None."""
+    code = pair_codes(np.array([ci]), np.array([cj]))[0]
+    idx = int(np.searchsorted(sorted_codes, code))
+    if idx < len(sorted_codes) and sorted_codes[idx] == code:
+        return idx
+    return None
+
+
 class ExactTheta:
     """Exact Θ store (red-black-tree stand-in)."""
 
@@ -54,11 +63,8 @@ class ExactTheta:
 
     def query(self, ci: int, cj: int) -> int:
         """Θ(c_i, c_j) for one pair."""
-        code = pair_codes(np.array([ci]), np.array([cj]))[0]
-        idx = np.searchsorted(self._codes, code)
-        if idx < len(self._codes) and self._codes[idx] == code:
-            return int(self._counts[idx])
-        return 0
+        idx = _find(self._codes, ci, cj)
+        return 0 if idx is None else int(self._counts[idx])
 
     @property
     def nbytes(self) -> int:
@@ -82,10 +88,8 @@ class CMSTheta:
         return lo, hi, self.cms.query_batch(self._seen)
 
     def query(self, ci: int, cj: int) -> int:
-        code = pair_codes(np.array([ci]), np.array([cj]))[0]
-        if np.searchsorted(self._seen, code) < len(self._seen) and code in self._seen:
-            return int(self.cms.query(int(code)))
-        return 0
+        idx = _find(self._seen, ci, cj)
+        return 0 if idx is None else int(self.cms.query(int(self._seen[idx])))
 
     @property
     def nbytes(self) -> int:

@@ -23,13 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _zipf_weights(n: int, rho: float) -> np.ndarray:
-    """Rank-size weights w_i ∝ rank^(-1/(rho-1)) (community sizes)."""
-    alpha = 1.0 / max(rho - 1.0, 0.05)
-    w = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
-    return w / w.sum()
-
-
 def _powerlaw_degree_weights(
     n: int, rho: float, n_edges: int, g: np.random.Generator
 ) -> np.ndarray:

@@ -50,8 +50,3 @@ def rmat_edges(
     if drop_self_loops:
         edges = edges[edges[:, 0] != edges[:, 1]]
     return edges
-
-
-def rmat_graph_spec(scale: int, n_edges: int, seed: int = 0) -> dict:
-    """Descriptor used by the dataset catalog for R-MAT entries."""
-    return {"kind": "rmat", "scale": scale, "n_edges": n_edges, "seed": seed}

@@ -58,8 +58,3 @@ def load_balance_np(part: np.ndarray, k: int) -> float:
     """Numpy twin of :func:`load_balance`."""
     sizes = np.bincount(part, minlength=k)
     return float(k * sizes.max()) / float(len(part))
-
-
-def partition_sizes_np(part: np.ndarray, k: int) -> np.ndarray:
-    """Edge count per partition."""
-    return np.bincount(part, minlength=k).astype(np.int64)

@@ -5,13 +5,21 @@ import pytest
 from repro.baselines.api import PARTITIONERS, run_partitioner
 from repro.baselines.gamebased import BudgetExceeded, rmgp_partition
 from repro.baselines.hashing import grid_partition
-from repro.baselines.twops import pack_clusters
+from repro.core.game import initial_assignment
 from repro.core.postprocess import max_load
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import load_balance_np, replication_factor_np
 
 STREAMING = ["Random", "DBH", "Grid", "Greedy", "HDRF", "2PS-L", "CLUGP", "S5P"]
 ALL = list(PARTITIONERS)
+
+#: Degenerate streams every partitioner must survive, with the k to run at.
+DEGENERATE = {
+    "empty": (np.zeros((0, 2), dtype=np.int64), 8),
+    "self-loops": (np.array([[0, 0], [0, 1], [1, 1], [2, 2], [1, 2]]), 8),
+    "duplicates": (np.array([[0, 1]] * 5 + [[1, 2]] * 3 + [[0, 1]]), 8),
+    "k > |E|": (np.array([[0, 1], [1, 2], [2, 0]]), 16),
+}
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +35,10 @@ def web():
 class TestValidity:
     @pytest.mark.parametrize("name", ALL)
     def test_assigns_every_edge_in_range(self, name, lj):
-        part, _ = run_partitioner(lj, name, 8)
-        assert len(part) == len(lj)
-        assert part.min() >= 0 and part.max() < 8
+        for label, (edges, k) in {"LJ": (lj, 8), **DEGENERATE}.items():
+            part, _ = run_partitioner(edges, name, k)
+            assert len(part) == len(edges), label
+            assert ((part >= 0) & (part < k)).all(), label
 
     @pytest.mark.parametrize("name", ALL)
     def test_deterministic(self, name, lj):
@@ -83,8 +92,9 @@ class TestHashing:
 
 class TestClusteringBaselines:
     def test_pack_clusters_balanced(self):
+        # 2PS-L packs its clusters onto partitions with initial_assignment
         vols = np.ones(64)
-        c2p = pack_clusters(vols, 4)
+        c2p = initial_assignment(vols, 4)
         loads = np.bincount(c2p, weights=vols, minlength=4)
         assert loads.max() - loads.min() <= 1
 

@@ -22,6 +22,15 @@ from repro.oracle import assert_equivalent
 from repro.baselines.hashing import random_partition
 
 
+DEGREES_SQL = """
+    SELECT v, COUNT(*) AS degree FROM (
+        SELECT src AS v FROM edges
+        UNION ALL
+        SELECT dst AS v FROM edges
+    ) GROUP BY v
+"""
+
+
 @pytest.fixture(scope="module")
 def edges_np():
     return standin_edges("LJ", "test")
@@ -49,18 +58,17 @@ class TestStream:
         np.testing.assert_array_equal(back, edges_np)
 
     def test_degrees_oracle(self, edges):
-        deg = degrees_df(edges)
-        assert_equivalent(
-            deg,
-            """
-            SELECT v, COUNT(*) AS degree FROM (
-                SELECT src AS v FROM edges
-                UNION ALL
-                SELECT dst AS v FROM edges
-            ) GROUP BY v
-            """,
-            edges=edges,
-        )
+        assert_equivalent(degrees_df(edges), DEGREES_SQL, edges=edges)
+
+    def test_oracle_catches_wrong_result(self, edges):
+        wrong = degrees_df(edges).withColumn("degree", F.col("degree") + 1)
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, DEGREES_SQL, edges=edges)
+
+    def test_oracle_catches_column_mismatch(self, edges):
+        renamed = degrees_df(edges).withColumnRenamed("degree", "d")
+        with pytest.raises(AssertionError, match="column mismatch"):
+            assert_equivalent(renamed, DEGREES_SQL, edges=edges)
 
     def test_degrees_match_numpy(self, edges, edges_np):
         from repro.core.stream import degrees_np

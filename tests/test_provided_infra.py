@@ -1,62 +1,35 @@
-"""Smoke tests for the provided TPC-H-lite generators + DuckDB oracle.
+"""Smoke test for the provided DuckDB oracle.
 
-The graph-domain pipeline is the reproduction's subject; these tests
-pin the provided infrastructure (synth_data, oracle) so the oracle
-plumbing every Spark metric test relies on is itself verified.
+The oracle is the plumbing every Spark metric test relies on, so its
+positive path is pinned here on a plain aggregation over a graph
+DataFrame.
 """
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.core.stream import edges_to_df
+from repro.graphgen.catalog import standin_edges
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    df = synth_data.lineitem(spark, sf=0.001)
+def edges(spark):
+    df = edges_to_df(spark, standin_edges("LJ", "test"))
     df.cache().count()
     return df
 
 
-class TestSynthData:
-    def test_lineitem_scale(self, li):
-        assert li.count() == 6000
-
-    def test_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.0005).toPandas()
-        b = synth_data.lineitem(spark, sf=0.0005).toPandas()
-        assert a.equals(b)
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5)
-        top = (
-            df.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()[0]
-        )
-        assert top["count"] > 5000 / 100 * 5  # head key ≫ uniform share
-
-
 class TestOracle:
-    def test_aggregation_equivalence(self, spark, li):
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("sum_qty"),
+    def test_aggregation_equivalence(self, spark, edges):
+        got = edges.groupBy("src").agg(
+            F.sum("dst").alias("sum_dst"),
             F.count("*").alias("n"),
         )
         assert_equivalent(
             got,
             """
-            SELECT l_returnflag, SUM(l_quantity) AS sum_qty, COUNT(*) AS n
-            FROM li GROUP BY l_returnflag
+            SELECT src, SUM(dst) AS sum_dst, COUNT(*) AS n
+            FROM edges GROUP BY src
             """,
-            li=li,
+            edges=edges,
         )
-
-    def test_catches_wrong_result(self, spark, li):
-        wrong = li.groupBy("l_returnflag").agg(
-            (F.sum("l_quantity") + 1).alias("sum_qty")
-        )
-        with pytest.raises(AssertionError):
-            assert_equivalent(
-                wrong,
-                "SELECT l_returnflag, SUM(l_quantity) AS sum_qty FROM li GROUP BY l_returnflag",
-                li=li,
-            )

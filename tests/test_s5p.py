@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines.api import run_partitioner_spark
 from repro.core.postprocess import max_load
-from repro.core.s5p import s5p_partition, s5p_partition_np
+from repro.core.s5p import s5p_partition_np
 from repro.core.stream import edges_to_df
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import (
@@ -95,14 +96,14 @@ class TestPipeline:
 class TestSparkEntry:
     def test_assignment_dataframe(self, spark, lj):
         edges_df = edges_to_df(spark, lj)
-        assign, stats = s5p_partition(spark, edges_df, 8)
+        assign, stats = run_partitioner_spark(spark, edges_df, "S5P", 8)
         assert assign.columns == ["eid", "partition"]
         assert assign.count() == len(lj)
-        assert stats.n_edges == len(lj)
+        assert stats.name == "S5P" and stats.k == 8
 
     def test_spark_metrics_match_numpy(self, spark, lj):
         edges_df = edges_to_df(spark, lj)
-        assign, _ = s5p_partition(spark, edges_df, 8)
+        assign, _ = run_partitioner_spark(spark, edges_df, "S5P", 8)
         part = assign.toPandas().sort_values("eid")["partition"].to_numpy()
         assert replication_factor(edges_df, assign) == pytest.approx(
             replication_factor_np(lj, part, 8)

@@ -73,6 +73,15 @@ class TestCMSTheta:
         la, ha, _ = approx.pairs()
         assert set(zip(le, he)) == set(zip(la, ha))
 
+    def test_query_matches_pairs(self):
+        g = np.random.default_rng(3)
+        th = CMSTheta()
+        th.add_pairs(g.integers(0, 40, 2000), g.integers(40, 80, 2000))
+        for lo, hi, w in zip(*th.pairs()):
+            assert th.query(int(hi), int(lo)) == w
+        # every sketch cell is non-zero, so only the seen-pair lookup gives 0
+        assert th.query(1000, 1001) == 0
+
     def test_cms_memory_constant(self):
         # the count table never grows with the number of pairs
         th = CMSTheta(eps=0.1, nu=0.01)
