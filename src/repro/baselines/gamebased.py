@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from repro.core.game import initial_assignment
 from repro.core.postprocess import max_load
 from repro.core.stream import degrees_np
 
@@ -205,15 +206,10 @@ def cvsp_partition(
     both_in = admitted[u] & admitted[v]
     out = np.empty(n_e, dtype=np.int64)
     roots = np.array([find(int(x)) for x in u], dtype=np.int64)
-    comp_ids, comp_sizes = np.unique(roots[both_in], return_counts=True)
-    loads = np.zeros(k, dtype=np.int64)
-    comp2p = {}
-    for c, s in sorted(zip(comp_ids, comp_sizes), key=lambda t: -t[1]):
-        p = int(np.argmin(loads))
-        comp2p[int(c)] = p
-        loads[p] += int(s)
-    for i in np.flatnonzero(both_in):
-        out[i] = comp2p[int(roots[i])]
+    _, comp_of, comp_sizes = np.unique(
+        roots[both_in], return_inverse=True, return_counts=True
+    )
+    out[both_in] = initial_assignment(comp_sizes, k)[comp_of]
     rr = 0
     for i in np.flatnonzero(~both_in):
         out[i] = rr % k

@@ -13,12 +13,14 @@ import heapq
 
 import numpy as np
 
+from repro.core.postprocess import max_load
+
 
 def ne_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
     """Run neighborhood expansion; returns the per-edge partition array."""
     n_e = len(edges)
     n_v = int(edges.max()) + 1 if n_e else 0
-    cap = int(np.ceil(tau * n_e / k))
+    cap = max_load(n_e, k, tau)
 
     # adjacency: vertex -> [(neighbor, eid), ...]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_v)]

@@ -11,7 +11,7 @@ and drops the κ constraint (pass ``kappa=inf, use_local_degrees=False``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +36,10 @@ class ClusteringResult:
     cluster_volume: np.ndarray  # final vol(·) per cluster id
     edges_src: np.ndarray  # the stream's src column (arrival order)
     edges_dst: np.ndarray  # the stream's dst column
-
-    # Derived: each edge is *owned* by its src endpoint's cluster, which
-    # partitions E exactly (Σ|c_i| = |E|) as the cost functions require.
-    owner: np.ndarray = field(init=False)
-    cluster_sizes: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.owner = self.edge_cu
-        self.cluster_sizes = np.bincount(
-            self.owner, minlength=self.n_clusters
-        ).astype(np.int64)
+    # |c| per cluster id: each edge is *owned* by its src endpoint's
+    # cluster, which partitions E exactly (Σ|c_i| = |E|) as the cost
+    # functions require.
+    cluster_sizes: np.ndarray
 
     @property
     def cut_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -84,20 +77,18 @@ def skewness_aware_clustering(
     k: int,
     *,
     beta: float = 1.0,
-    degrees: np.ndarray | None = None,
     kappa: float | None = None,
     use_local_degrees: bool = True,
 ) -> ClusteringResult:
     """Run Algorithm 1 over an arrival-ordered ``(m, 2)`` edge array.
 
-    ``degrees`` are global degrees (precomputed in one pass, as in
-    2PS-L); ``use_local_degrees=False`` selects the S5P-B variant for
-    tail volumes. Returns per-vertex tables and per-edge cluster views.
+    Global degrees are precomputed in one pass, as in 2PS-L;
+    ``use_local_degrees=False`` selects the S5P-B variant for tail
+    volumes. Returns per-vertex tables and per-edge cluster views.
     """
     n_v = int(edges.max()) + 1 if len(edges) else 0
     n_e = len(edges)
-    if degrees is None:
-        degrees = degrees_np(edges, n_v)
+    degrees = degrees_np(edges, n_v)
     xi = head_threshold(n_v, n_e, beta)
     if kappa is None:
         kappa = cluster_capacity(n_e, k)
@@ -171,4 +162,5 @@ def skewness_aware_clustering(
         cluster_volume=vol[:next_id].copy(),
         edges_src=src.copy(),
         edges_dst=dst.copy(),
+        cluster_sizes=np.bincount(edge_cu, minlength=next_id).astype(np.int64),
     )

@@ -96,7 +96,7 @@ def stackelberg_initial_assignment(
 ) -> np.ndarray:
     """Leader-first initialization for the two-stage game.
 
-    Leaders (head clusters) are packed least-loaded-first, exactly like
+    Leaders (head clusters) are packed least-loaded-first by
     :func:`initial_assignment`. Followers then *respond*: each tail
     cluster starts in the partition holding the largest Θ mass of
     already-placed neighbors (leaders and earlier followers), falling
@@ -104,14 +104,10 @@ def stackelberg_initial_assignment(
     Section 2.2 — the one-stage game cannot use it because it has no
     leader set.
     """
-    n = g.n
-    c2p = np.full(n, -1, dtype=np.int64)
-    loads = np.zeros(k)
+    c2p = np.full(g.n, -1, dtype=np.int64)
     heads = np.flatnonzero(cluster_is_head)
-    for c in heads[np.argsort(-g.sizes[heads], kind="stable")]:
-        p = int(np.argmin(loads))
-        c2p[c] = p
-        loads[p] += g.sizes[c]
+    c2p[heads] = initial_assignment(g.sizes[heads], k)
+    loads = np.bincount(c2p[heads], weights=g.sizes[heads], minlength=k)
     tails = np.flatnonzero(~cluster_is_head)
     for c in tails[np.argsort(-g.sizes[tails], kind="stable")]:
         nbrs, w = g.neighbors(int(c))
@@ -194,7 +190,6 @@ def stackelberg_game(
     theta_pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     k: int,
     *,
-    delta: float | None = None,
     batch_size: int = 1,
     max_rounds: int = 64,
     one_stage: bool = False,
@@ -213,8 +208,7 @@ def stackelberg_game(
     (and we) cap the number of rounds.
     """
     g = ClusterGraph(n_clusters, sizes, theta_pairs)
-    if delta is None:
-        delta = delta_max(g, k)
+    delta = delta_max(g, k)
     if one_stage:
         c2p = initial_assignment(g.sizes, k)
     else:

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.api import run_partitioner_spark
-from repro.core.postprocess import max_load
+from repro.core.clustering import skewness_aware_clustering
+from repro.core.game import stackelberg_game
+from repro.core.postprocess import assign_edges, max_load
 from repro.core.s5p import s5p_partition_np
 from repro.core.stream import edges_to_df
+from repro.core.theta import CMSTheta
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import (
     load_balance,
@@ -29,6 +32,18 @@ class TestPipeline:
         assert len(part) == len(e)
         assert 0 <= part.min() and part.max() < k
         assert stats.n_clusters > 0
+
+    def test_equals_stages_composed(self, lj):
+        k = 8
+        cl = skewness_aware_clustering(lj, k)
+        theta = CMSTheta()
+        theta.add_pairs(*cl.cut_pairs)
+        game = stackelberg_game(
+            cl.n_clusters, cl.cluster_sizes, cl.cluster_is_head, theta.pairs(), k
+        )
+        staged = assign_edges(cl.edge_cu, cl.edge_cv, cl.edge_is_head, game.c2p, k)
+        part, _ = s5p_partition_np(lj, k)
+        np.testing.assert_array_equal(part, staged)
 
     @pytest.mark.parametrize("k", [4, 8, 16])
     def test_balance_constraint(self, lj, k):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.theta import CMSTheta, ExactTheta, decode_pairs, pair_codes
+from repro.sketch.cms import CountMinSketch
 
 
 class TestPairCodes:
@@ -81,6 +82,24 @@ class TestCMSTheta:
             assert th.query(int(hi), int(lo)) == w
         # every sketch cell is non-zero, so only the seen-pair lookup gives 0
         assert th.query(1000, 1001) == 0
+
+    def test_sketch_equals_per_insert_feed(self):
+        # CMS linearity: posting each batch's distinct pairs with their
+        # counts leaves the same table as hashing every insert singly
+        g = np.random.default_rng(4)
+        batches = [(g.integers(0, 30, 3000), g.integers(30, 60, 3000)) for _ in range(2)]
+        th, exact = CMSTheta(eps=0.05, nu=0.01, seed=11), ExactTheta()
+        ref = CountMinSketch(eps=0.05, nu=0.01, seed=11)
+        for ci, cj in batches:
+            th.add_pairs(ci, cj)
+            exact.add_pairs(ci, cj)
+            ref.add_batch(pair_codes(ci, cj))
+        np.testing.assert_array_equal(th.cms.table, ref.table)
+        assert th.cms.total == ref.total == 6000
+        lo, hi, _ = th.pairs()
+        le, he, _ = exact.pairs()
+        np.testing.assert_array_equal(lo, le)
+        np.testing.assert_array_equal(hi, he)
 
     def test_cms_memory_constant(self):
         # the count table never grows with the number of pairs
