@@ -11,11 +11,12 @@ and drops the κ constraint (pass ``kappa=inf, use_local_degrees=False``).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stream import degrees_np
+from .stream import degrees_np, iter_chunks
 
 
 @dataclass
@@ -41,9 +42,8 @@ class ClusteringResult:
     # functions require.
     cluster_sizes: np.ndarray
 
-    @property
-    def cut_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All cluster pairs spanned by edges, under *vertex membership*.
+    def cut_pair_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Cluster pairs spanned by edges, under *vertex membership*.
 
         Θ(c_i, c_j) (Eq. 7) counts edges with one endpoint in c_i and
         the other in c_j, where a head vertex is a member of both its
@@ -51,15 +51,26 @@ class ClusteringResult:
         head×tail pairs this produces are the coupling through which
         leaders' (head clusters') moves steer followers — without
         them the two game stages would be independent games.
+
+        Yields one ``(c_u, c_v)`` block per (head|tail)×(head|tail)
+        table pair, so a Θ store can take them one at a time.
         """
-        hu = self.v2c_head[self.edges_src]
-        tu = self.v2c_tail[self.edges_src]
-        hv = self.v2c_head[self.edges_dst]
-        tv = self.v2c_tail[self.edges_dst]
-        pairs_u = np.concatenate([hu, hu, tu, tu])
-        pairs_v = np.concatenate([hv, tv, hv, tv])
-        valid = (pairs_u >= 0) & (pairs_v >= 0) & (pairs_u != pairs_v)
-        return pairs_u[valid], pairs_v[valid]
+        tables = (self.v2c_head, self.v2c_tail)
+        for tu in tables:
+            for tv in tables:
+                pu = tu[self.edges_src]
+                pv = tv[self.edges_dst]
+                valid = (pu >= 0) & (pv >= 0) & (pu != pv)
+                yield pu[valid], pv[valid]
+
+    @property
+    def cut_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """All blocks of :meth:`cut_pair_blocks` as one ``(c_u, c_v)`` pair."""
+        blocks = list(self.cut_pair_blocks())
+        return (
+            np.concatenate([pu for pu, _ in blocks]),
+            np.concatenate([pv for _, pv in blocks]),
+        )
 
 
 def head_threshold(n_vertices: int, n_edges: int, beta: float = 1.0) -> float:
@@ -95,56 +106,57 @@ def skewness_aware_clustering(
 
     head_v = degrees > xi
     src, dst = edges[:, 0], edges[:, 1]
-    edge_is_head = head_v[src] & head_v[dst]
+    eh = head_v[src] & head_v[dst]
 
-    v2c_h = np.full(n_v, -1, dtype=np.int64)
-    v2c_t = np.full(n_v, -1, dtype=np.int64)
-    max_clusters = 2 * n_v + 2
-    vol = np.zeros(max_clusters, dtype=np.float64)
-    is_head_c = np.zeros(max_clusters, dtype=bool)
-    ld = np.zeros(n_v, dtype=np.int64)
-    next_id = 0
+    # Per-vertex state in Python lists: the loop runs on Python scalars.
+    v2c_h = [-1] * n_v
+    v2c_t = [-1] * n_v
+    ld = [0] * n_v
+    d = degrees.tolist()
+    ldeg = ld if use_local_degrees else d
+    vol: list[float] = []  # per cluster id, grown as clusters are created
+    is_head_c: list[bool] = []
 
-    d = degrees
-    eh = edge_is_head
-    for idx in range(n_e):
-        u = int(src[idx]); v = int(dst[idx])
-        if eh[idx]:
-            # --- head edge: global-degree-aware (lines 2-11) ---
-            if v2c_h[u] < 0:
-                v2c_h[u] = next_id; vol[next_id] = d[u]
-                is_head_c[next_id] = True; next_id += 1
-            if v2c_h[v] < 0:
-                v2c_h[v] = next_id; vol[next_id] = d[v]
-                is_head_c[next_id] = True; next_id += 1
-            cu = v2c_h[u]; cv = v2c_h[v]
-            if cu != cv and vol[cu] < kappa and vol[cv] < kappa:
-                # i: endpoint whose cluster is lighter without it (line 6)
-                if vol[cu] - d[u] <= vol[cv] - d[v]:
-                    i, ci, cj = u, cu, cv
-                else:
-                    i, ci, cj = v, cv, cu
-                if vol[cj] + d[i] < kappa:  # line 8
-                    vol[cj] += d[i]; vol[ci] -= d[i]
-                    v2c_h[i] = cj
-        else:
-            # --- tail edge: local-degree-aware (lines 12-21) ---
-            if v2c_t[u] < 0:
-                v2c_t[u] = next_id; next_id += 1
-            if v2c_t[v] < 0:
-                v2c_t[v] = next_id; next_id += 1
-            ld[u] += 1; ld[v] += 1
-            cu = v2c_t[u]; cv = v2c_t[v]
-            vol[cu] += 1; vol[cv] += 1
-            if cu != cv and vol[cu] < kappa and vol[cv] < kappa:
-                ldeg = ld if use_local_degrees else d
-                if vol[cu] <= vol[cv]:  # line 17: argmin volume
-                    i, ci, cj = u, cu, cv
-                else:
-                    i, ci, cj = v, cv, cu
-                vol[cj] += ldeg[i]; vol[ci] -= ldeg[i]  # lines 19-21
-                v2c_t[i] = cj
+    for _, rows in iter_chunks(src, dst, eh):
+        for u, v, head in rows:
+            if head:
+                # --- head edge: global-degree-aware (lines 2-11) ---
+                if v2c_h[u] < 0:
+                    v2c_h[u] = len(vol); vol.append(float(d[u])); is_head_c.append(True)
+                if v2c_h[v] < 0:
+                    v2c_h[v] = len(vol); vol.append(float(d[v])); is_head_c.append(True)
+                cu = v2c_h[u]; cv = v2c_h[v]
+                if cu != cv and vol[cu] < kappa and vol[cv] < kappa:
+                    # i: endpoint whose cluster is lighter without it (line 6)
+                    if vol[cu] - d[u] <= vol[cv] - d[v]:
+                        i, ci, cj = u, cu, cv
+                    else:
+                        i, ci, cj = v, cv, cu
+                    if vol[cj] + d[i] < kappa:  # line 8
+                        vol[cj] += d[i]; vol[ci] -= d[i]
+                        v2c_h[i] = cj
+            else:
+                # --- tail edge: local-degree-aware (lines 12-21) ---
+                if v2c_t[u] < 0:
+                    v2c_t[u] = len(vol); vol.append(0.0); is_head_c.append(False)
+                if v2c_t[v] < 0:
+                    v2c_t[v] = len(vol); vol.append(0.0); is_head_c.append(False)
+                ld[u] += 1; ld[v] += 1
+                cu = v2c_t[u]; cv = v2c_t[v]
+                vol[cu] += 1; vol[cv] += 1
+                if cu != cv and vol[cu] < kappa and vol[cv] < kappa:
+                    if vol[cu] <= vol[cv]:  # line 17: argmin volume
+                        i, ci, cj = u, cu, cv
+                    else:
+                        i, ci, cj = v, cv, cu
+                    vol[cj] += ldeg[i]; vol[ci] -= ldeg[i]  # lines 19-21
+                    v2c_t[i] = cj
 
+    # Drop the degree lists before the tables become arrays (lower peak).
+    del ld, d, ldeg
+    v2c_h = np.array(v2c_h, dtype=np.int64)
+    v2c_t = np.array(v2c_t, dtype=np.int64)
+    n_clusters = len(vol)
     edge_cu = np.where(eh, v2c_h[src], v2c_t[src])
     edge_cv = np.where(eh, v2c_h[dst], v2c_t[dst])
     return ClusteringResult(
@@ -157,10 +169,10 @@ def skewness_aware_clustering(
         edge_is_head=eh,
         edge_cu=edge_cu.astype(np.int64),
         edge_cv=edge_cv.astype(np.int64),
-        n_clusters=next_id,
-        cluster_is_head=is_head_c[:next_id].copy(),
-        cluster_volume=vol[:next_id].copy(),
+        n_clusters=n_clusters,
+        cluster_is_head=np.array(is_head_c, dtype=bool),
+        cluster_volume=np.array(vol, dtype=np.float64),
         edges_src=src.copy(),
         edges_dst=dst.copy(),
-        cluster_sizes=np.bincount(edge_cu, minlength=next_id).astype(np.int64),
+        cluster_sizes=np.bincount(edge_cu, minlength=n_clusters).astype(np.int64),
     )

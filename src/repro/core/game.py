@@ -55,6 +55,9 @@ class ClusterGraph:
         self._ptr = np.searchsorted(self._src, np.arange(n_clusters + 1))
         self.W = np.zeros(n_clusters)  # Σ_j Θ(c, c_j): max possible F(c)
         np.add.at(self.W, src, wt)
+        # Dead ids (empty clusters abandoned by migration) have constant-0
+        # cost everywhere and never change a load.
+        self.active = (self.sizes > 0) | (self.W > 0)
 
     def neighbors(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor cluster ids, Θ weights) of cluster ``c``."""
@@ -80,14 +83,17 @@ def delta_max(cluster_graph: ClusterGraph, k: int) -> float:
 
 
 def initial_assignment(sizes: np.ndarray, k: int) -> np.ndarray:
-    """Greedy least-loaded initial C2P (deterministic)."""
+    """Greedy least-loaded initial C2P (deterministic; ``sizes`` ≥ 0)."""
     order = np.argsort(-sizes, kind="stable")
+    n_placed = int(np.count_nonzero(sizes > 0))
     loads = np.zeros(k)
     c2p = np.zeros(len(sizes), dtype=np.int64)
-    for c in order:
+    for c in order[:n_placed]:
         p = int(np.argmin(loads))
         c2p[c] = p
         loads[p] += sizes[c]
+    # Empty items come last and add no load: all get the final argmin.
+    c2p[order[n_placed:]] = int(np.argmin(loads))
     return c2p
 
 
@@ -108,7 +114,7 @@ def stackelberg_initial_assignment(
     heads = np.flatnonzero(cluster_is_head)
     c2p[heads] = initial_assignment(g.sizes[heads], k)
     loads = np.bincount(c2p[heads], weights=g.sizes[heads], minlength=k)
-    tails = np.flatnonzero(~cluster_is_head)
+    tails = np.flatnonzero(~cluster_is_head & g.active)
     for c in tails[np.argsort(-g.sizes[tails], kind="stable")]:
         nbrs, w = g.neighbors(int(c))
         placed = c2p[nbrs] >= 0
@@ -119,6 +125,9 @@ def stackelberg_initial_assignment(
             p = int(np.argmin(loads))
         c2p[c] = p
         loads[p] += g.sizes[c]
+    # A dead tail would fall back to the least-loaded partition, and
+    # placing it changes no load: all of them get the final argmin.
+    c2p[~cluster_is_head & ~g.active] = int(np.argmin(loads))
     return c2p
 
 
@@ -215,15 +224,13 @@ def stackelberg_game(
         c2p = stackelberg_initial_assignment(g, cluster_is_head, k)
     loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
 
-    # Dead ids (empty clusters abandoned by migration) have constant-0
-    # cost everywhere; skipping them changes nothing but round time.
-    active = (g.sizes > 0) | (g.W > 0)
+    # Skipping dead ids changes nothing but round time.
     if one_stage:
-        stages = [np.flatnonzero(active)]
+        stages = [np.flatnonzero(g.active)]
     else:
         stages = [
-            np.flatnonzero(active & cluster_is_head),   # Stage 1: leaders
-            np.flatnonzero(active & ~cluster_is_head),  # Stage 2: followers
+            np.flatnonzero(g.active & cluster_is_head),   # Stage 1: leaders
+            np.flatnonzero(g.active & ~cluster_is_head),  # Stage 2: followers
         ]
 
     rounds = 0

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .stream import iter_chunks
+
 
 def max_load(n_edges: int, k: int, tau: float = 1.0) -> int:
     """L = ⌈τ·|E|/k⌉ (Theorem 1: relative balance is then ≤ kL/|E|)."""
@@ -39,23 +41,33 @@ def assign_edges(
     cap = max_load(n_e, k, tau) if math.isfinite(tau) else n_e + 1
     pu = c2p[edge_cu]
     pv = c2p[edge_cv]
-    is_head = edge_is_head
-    loads = np.zeros(k, dtype=np.int64)
+    loads = [0] * k
+    # Loads only grow, so the first partition with space from the front
+    # (head scan) and the last from the back (tail scan) never move back:
+    # each overflow scan resumes where the previous one stopped.
+    front, back = 0, k - 1
     out = np.empty(n_e, dtype=np.int64)
-    for i in range(n_e):
-        a = pu[i]; b = pv[i]
-        if loads[a] >= cap and loads[b] >= cap:
-            # overflow: skew-aware scan for any partition with space
-            rng = range(k) if is_head[i] else range(k - 1, -1, -1)
-            for p in rng:
-                if loads[p] < cap:
-                    break
-            else:  # cap can momentarily bind if τ·|E|/k < |E|/k; spill anyway
-                p = int(np.argmin(loads))
-        elif loads[a] > loads[b]:
-            p = b
-        else:
-            p = a
-        out[i] = p
-        loads[p] += 1
+    for s, rows in iter_chunks(pu, pv, edge_is_head):
+        placed = []
+        for a, b, head in rows:
+            if loads[a] >= cap and loads[b] >= cap:
+                # overflow: skew-aware scan for any partition with space
+                if head:
+                    while front < k and loads[front] >= cap:
+                        front += 1
+                    p = front
+                else:
+                    while back >= 0 and loads[back] >= cap:
+                        back -= 1
+                    p = back
+                if not 0 <= p < k:  # every partition is full
+                    # cap can momentarily bind if τ·|E|/k < |E|/k; spill anyway
+                    p = loads.index(min(loads))
+            elif loads[a] > loads[b]:
+                p = b
+            else:
+                p = a
+            placed.append(p)
+            loads[p] += 1
+        out[s : s + len(placed)] = placed
     return out

@@ -73,8 +73,8 @@ def s5p_partition_np(
 
     t0 = time.perf_counter()
     theta = CMSTheta() if use_cms else ExactTheta()
-    cu, cv = clustering.cut_pairs
-    theta.add_pairs(cu, cv)
+    for cu, cv in clustering.cut_pair_blocks():
+        theta.add_pairs(cu, cv)
     stats.theta_bytes = theta.nbytes
     stats.timings["theta"] = time.perf_counter() - t0
 

@@ -7,6 +7,8 @@ as ordered numpy arrays on the driver (DESIGN.md §6).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -48,6 +50,22 @@ def degrees_np(edges: np.ndarray, n_vertices: int | None = None) -> np.ndarray:
     if n_vertices is None:
         n_vertices = int(edges.max()) + 1 if len(edges) else 0
     return np.bincount(edges.ravel(), minlength=n_vertices).astype(np.int64)
+
+
+#: Edges that :func:`iter_chunks` converts to Python scalars at once.
+STREAM_CHUNK = 8192
+
+
+def iter_chunks(*cols: np.ndarray) -> Iterator[tuple[int, Iterator[tuple]]]:
+    """Yield ``(start, rows)`` per chunk of equal-length columns.
+
+    ``rows`` zips the chunk's columns as Python scalars. The sequential
+    passes (Alg. 1, Alg. 3) index Python lists with them: a numpy scalar
+    costs an interpreter round trip per element. Converting one chunk at
+    a time keeps the Python copy of the stream O(chunk).
+    """
+    for s in range(0, len(cols[0]), STREAM_CHUNK):
+        yield s, zip(*(c[s : s + STREAM_CHUNK].tolist() for c in cols))
 
 
 def relabel_dense(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 """Tests for postprocessing (Algorithm 3) and Theorem 1."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from repro.core.bounds import tau_bound
 from repro.core.clustering import skewness_aware_clustering
 from repro.core.game import stackelberg_game
 from repro.core.postprocess import assign_edges, max_load
+from repro.core.stream import STREAM_CHUNK
 from repro.core.theta import ExactTheta
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import load_balance_np
@@ -104,3 +107,45 @@ class TestAssignEdges:
         assert (part[:2] == 0).all()
         assert set(part[2:5]) <= {1, 2}
         assert 3 in set(part[5:])
+
+
+def _full_scan_reference(edge_cu, edge_cv, edge_is_head, c2p, k, tau):
+    """Algorithm 3 as written: a fresh first→last / last→first scan per overflow."""
+    n_e = len(edge_cu)
+    cap = max_load(n_e, k, tau) if math.isfinite(tau) else n_e + 1
+    loads = np.zeros(k, dtype=np.int64)
+    out = np.empty(n_e, dtype=np.int64)
+    for i in range(n_e):
+        a, b = c2p[edge_cu[i]], c2p[edge_cv[i]]
+        if loads[a] >= cap and loads[b] >= cap:
+            scan = range(k) if edge_is_head[i] else range(k - 1, -1, -1)
+            free = [p for p in scan if loads[p] < cap]
+            p = free[0] if free else int(np.argmin(loads))
+        elif loads[a] > loads[b]:
+            p = b
+        else:
+            p = a
+        out[i] = p
+        loads[p] += 1
+    return out
+
+
+class TestOverflowCursors:
+    @pytest.mark.parametrize("tau", [0.5, 0.8, 1.0, np.inf])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_matches_full_scan(self, k, tau):
+        rng = np.random.default_rng(1000 * k + int(10 * min(tau, 9)))
+        n_e, n_c = STREAM_CHUNK + 1500, 40  # crosses a chunk boundary
+        # skewed c2p: most clusters on a few partitions, so caps bind early
+        c2p = np.minimum(rng.geometric(0.4, n_c) - 1, k - 1).astype(np.int64)
+        cu = rng.integers(0, n_c, n_e)
+        cv = rng.integers(0, n_c, n_e)
+        head = rng.random(n_e) < 0.3
+        part = assign_edges(cu, cv, head, c2p, k, tau=tau)
+        ref = _full_scan_reference(cu, cv, head, c2p, k, tau)
+        np.testing.assert_array_equal(part, ref)
+        assert part.dtype == np.int64
+        if math.isfinite(tau):
+            # τ < 1 leaves room for fewer than |E| edges: the spill runs
+            spilled = np.bincount(part, minlength=k).max() > max_load(n_e, k, tau)
+            assert spilled == (tau < 1)

@@ -1,4 +1,7 @@
 """End-to-end tests for the S5P pipeline (numpy core + Spark entry)."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from repro.core.game import stackelberg_game
 from repro.core.postprocess import assign_edges, max_load
 from repro.core.s5p import s5p_partition_np
 from repro.core.stream import edges_to_df
-from repro.core.theta import CMSTheta
+from repro.core.theta import CMSTheta, ExactTheta
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import (
     load_balance,
@@ -106,6 +109,94 @@ class TestPipeline:
     def test_empty_rounds_cap(self, lj):
         _, st = s5p_partition_np(lj, 8, max_rounds=2)
         assert st.game_rounds <= 2
+
+
+#: ``s5p_partition_np`` options per pinned variant.
+VARIANTS = {
+    "default": {},
+    "bounded": dict(bounded=True),
+    "one_stage": dict(one_stage=True),
+    "use_cms=False": dict(use_cms=False),
+    "tau=0.8": dict(tau=0.8),
+}
+
+#: (graph, preset, k, variant) -> first 16 hex digits of the SHA-256 of the
+#: partition's and of ``GameResult.c2p``'s bytes. Pinned from the
+#: numpy-scalar loops that the Python-list loops replaced; the ``bench``
+#: cells stream more than one conversion chunk.
+PINNED = {
+    ("LJ", "test", 8, "default"): ("7fe4ccbb0e40460e", "9c5955cd11f8c48a"),
+    ("LJ", "test", 8, "bounded"): ("34dcaf8b317a7e61", "641af5001577ba86"),
+    ("LJ", "test", 8, "one_stage"): ("92411a52813d5e4f", "813911a19c74194d"),
+    ("LJ", "test", 8, "use_cms=False"): ("b5ae51538a8abdaf", "a122273629ca93f3"),
+    ("LJ", "test", 8, "tau=0.8"): ("353ed0b7874f571f", "9c5955cd11f8c48a"),
+    ("LJ", "test", 64, "default"): ("09f3fa2aa0c46f20", "30ff8210c4fc4611"),
+    ("LJ", "test", 64, "bounded"): ("34dcaf8b317a7e61", "641af5001577ba86"),
+    ("LJ", "test", 64, "one_stage"): ("24950f8798290978", "168f5f28f3664d81"),
+    ("LJ", "test", 64, "use_cms=False"): ("72722b46648ab28d", "4c0512ca3f3e8134"),
+    ("LJ", "test", 64, "tau=0.8"): ("16f9ba38dee1e8ac", "30ff8210c4fc4611"),
+    ("IN", "test", 8, "default"): ("2258f7a00a7ccf48", "2d725f5990cdb34f"),
+    ("IN", "test", 8, "bounded"): ("ca9753de207a6012", "a6333c599706efb6"),
+    ("IN", "test", 8, "one_stage"): ("f0b6982aa035c7d4", "47dbef7986c95593"),
+    ("IN", "test", 8, "use_cms=False"): ("cb71fc259c4608f4", "421eb051823f866d"),
+    ("IN", "test", 8, "tau=0.8"): ("d4ab26d0b16e568d", "2d725f5990cdb34f"),
+    ("IN", "test", 64, "default"): ("9aaf18f1c472ee1d", "bcbf9a18c263483d"),
+    ("IN", "test", 64, "bounded"): ("9f36442ace6fdf66", "e5600066854b10fb"),
+    ("IN", "test", 64, "one_stage"): ("ff7036e5044d40c3", "65d280d386e3cca1"),
+    ("IN", "test", 64, "use_cms=False"): ("5ed201a80d6fe692", "f30ac11d7ba455e2"),
+    ("IN", "test", 64, "tau=0.8"): ("8371db03ba675baa", "bcbf9a18c263483d"),
+    ("OK", "test", 8, "default"): ("4cd130fcc3f8ed4d", "fa976347a58c0aa3"),
+    ("OK", "test", 8, "bounded"): ("bc2b98a86c68c912", "5db99eb3ff3889d9"),
+    ("OK", "test", 8, "one_stage"): ("e6d5bd0d2e5d8341", "1a8344aab2240ee0"),
+    ("OK", "test", 8, "use_cms=False"): ("1b92c7c34db6da24", "4cb3896f350d9dd4"),
+    ("OK", "test", 8, "tau=0.8"): ("37864600bfc82772", "fa976347a58c0aa3"),
+    ("OK", "test", 64, "default"): ("344af97ff9ebd644", "1bafb5187ca1e17b"),
+    ("OK", "test", 64, "bounded"): ("bc2b98a86c68c912", "5db99eb3ff3889d9"),
+    ("OK", "test", 64, "one_stage"): ("3574fe150bb33b83", "2daecbafc46154a6"),
+    ("OK", "test", 64, "use_cms=False"): ("ab56ffb3b37efe68", "bf98ce8bbd3a41c5"),
+    ("OK", "test", 64, "tau=0.8"): ("dc2f796c639117cc", "1bafb5187ca1e17b"),
+    ("IN", "bench", 64, "default"): ("79ca87bb43753ace", "a9cfc79d17f21a63"),
+    ("LJ", "bench", 64, "default"): ("fa5b5907ee9114a1", "fce07d72d9f55a26"),
+}
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name,preset,k,variant", sorted(PINNED))
+    def test_pinned_digests(self, name, preset, k, variant):
+        e = standin_edges(name, preset)
+        kw = VARIANTS[variant]
+        part, _ = s5p_partition_np(e, k, **kw)
+        bounded = kw.get("bounded", False)
+        cl = skewness_aware_clustering(
+            e, k, kappa=np.inf if bounded else None, use_local_degrees=not bounded
+        )
+        theta = CMSTheta() if kw.get("use_cms", True) else ExactTheta()
+        theta.add_pairs(*cl.cut_pairs)
+        game = stackelberg_game(
+            cl.n_clusters, cl.cluster_sizes, cl.cluster_is_head, theta.pairs(), k,
+            one_stage=kw.get("one_stage", False),
+        )
+        assert (_digest(part), _digest(game.c2p)) == PINNED[name, preset, k, variant]
+
+
+class TestRobustness:
+    def test_sparse_vertex_id(self):
+        # State is sized by the largest id: the Python-list state must
+        # stay within what the numpy arrays it replaced took (48.6 MiB).
+        e = np.array([[0, 1], [1, 10**6], [2, 0]], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            part, _ = s5p_partition_np(e, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(part) == len(e)
+        assert 0 <= part.min() and part.max() < 4
+        assert peak < 50 * 2**20
 
 
 class TestSparkEntry:
