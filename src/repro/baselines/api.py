@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.s5p import s5p_partition_np
+from repro.core.stream import columns_to_df, df_to_edges
 from .clugp import clugp_partition
 from .gamebased import cvsp_partition, mdsgp_partition, rmgp_partition
 from .greedy import greedy_partition
@@ -78,11 +78,6 @@ def run_partitioner_spark(
     spark: SparkSession, edges_df: DataFrame, name: str, k: int, **kwargs
 ) -> tuple[DataFrame, RunStats]:
     """Spark wrapper: stream DataFrame in, assignment DataFrame out."""
-    from repro.core.stream import df_to_edges
-
     edges = df_to_edges(edges_df)
     part, stats = run_partitioner(edges, name, k, **kwargs)
-    assign = pd.DataFrame(
-        {"eid": np.arange(len(part), dtype=np.int64), "partition": part}
-    )
-    return spark.createDataFrame(assign), stats
+    return columns_to_df(spark, eid=np.arange(len(part)), partition=part), stats

@@ -3,34 +3,57 @@
 The stream is a Spark DataFrame ``(eid, src, dst)`` where ``eid`` is the
 arrival order. Bulk dataflow (degrees, counts) is expressed in the
 DataFrame API; the sequential single-pass algorithms consume the stream
-as ordered numpy arrays on the driver (DESIGN.md §6).
+as ordered numpy arrays on the driver (DESIGN.md §6). The stream and
+the assignment cross between numpy and Spark here, as Arrow.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 
+def columns_to_df(spark: SparkSession, **cols: np.ndarray) -> DataFrame:
+    """Send equal-length integer columns to Spark as ``bigint`` columns.
+
+    A ``pyarrow.Table`` is sent as Arrow whatever
+    ``spark.sql.execution.arrow.pyspark.enabled`` says, while a pandas
+    frame with Arrow off (Spark's default, which the jobs run with) is
+    converted row by row in Python. The schema comes from the Arrow
+    types, so an empty stream needs no inference. The result has at most
+    ``defaultParallelism`` partitions, the layout ``parallelize`` gives;
+    the coalesce needs no shuffle.
+
+    The table arrives as a local relation that holds its rows in the
+    query plan, and planning every later query on it costs time in
+    proportion to them. ``localCheckpoint`` materializes the rows once
+    and puts an RDD in the plan's place.
+    """
+    table = pa.table({name: np.asarray(c, dtype=np.int64) for name, c in cols.items()})
+    return (
+        spark.createDataFrame(table)
+        .coalesce(spark.sparkContext.defaultParallelism)
+        .localCheckpoint()
+    )
+
+
 def edges_to_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
     """Materialize a numpy ``(m, 2)`` edge list as a stream DataFrame."""
-    pdf = pd.DataFrame(
-        {
-            "eid": np.arange(len(edges), dtype=np.int64),
-            "src": edges[:, 0].astype(np.int64),
-            "dst": edges[:, 1].astype(np.int64),
-        }
+    return columns_to_df(
+        spark, eid=np.arange(len(edges)), src=edges[:, 0], dst=edges[:, 1]
     )
-    return spark.createDataFrame(pdf)
 
 
 def df_to_edges(edges_df: DataFrame) -> np.ndarray:
     """Collect a stream DataFrame back to an arrival-ordered numpy array."""
-    pdf = edges_df.select("eid", "src", "dst").toPandas().sort_values("eid")
-    return pdf[["src", "dst"]].to_numpy(dtype=np.int64)
+    t = edges_df.select("eid", "src", "dst").toArrow()
+    order = np.argsort(t["eid"].to_numpy())
+    return np.column_stack(
+        [t["src"].to_numpy()[order], t["dst"].to_numpy()[order]]
+    ).astype(np.int64, copy=False)
 
 
 def degrees_df(edges_df: DataFrame) -> DataFrame:

@@ -74,6 +74,7 @@ def pagerank_spark(
                 "v",
                 (F.lit(base) + F.lit(damping) * F.col("in_mass")).alias("rank"),
             )
+            .localCheckpoint()  # cuts the lineage the next iteration replans
         )
     return ranks
 

@@ -16,9 +16,10 @@ from pyspark.sql import functions as F
 
 def replication_df(edges_df: DataFrame, assign_df: DataFrame) -> DataFrame:
     """Per-vertex replication counts ``(v, n_replicas)`` via Spark."""
-    joined = edges_df.join(assign_df, "eid")
-    ends = joined.select(F.col("src").alias("v"), "partition").unionAll(
-        joined.select(F.col("dst").alias("v"), "partition")
+    # One row per edge end from a single scan of the join; a union of a
+    # src and a dst select would plan the join twice.
+    ends = edges_df.join(assign_df, "eid").select(
+        F.explode(F.array("src", "dst")).alias("v"), "partition"
     )
     return (
         ends.distinct()

@@ -46,7 +46,7 @@ def planarization_rho3(n_vertices: int, n_edges: int) -> int:
 
 def skewness_metrics(edges_df: DataFrame) -> dict[str, float]:
     """All four skewness metrics plus |V|, |E| for a stream DataFrame."""
-    deg = degrees_df(edges_df).toPandas()["degree"].to_numpy()
+    deg = degrees_df(edges_df).select("degree").toArrow()["degree"].to_numpy()
     n_v = len(deg)
     n_e = int(deg.sum()) // 2
     rho1, rho2 = pearson_skew(deg)
