@@ -40,6 +40,18 @@ def columns_to_df(spark: SparkSession, **cols: np.ndarray) -> DataFrame:
     )
 
 
+def hash_partition(df: DataFrame, key: str) -> DataFrame:
+    """Hash-partition ``df`` on ``key`` into ``defaultParallelism`` partitions.
+
+    An aggregation grouped on ``key``, alone or with more columns, then
+    plans no exchange of its own. So a metric shuffles once, sized to the
+    cores, where Spark would shuffle once per aggregation into
+    ``spark.sql.shuffle.partitions`` partitions (200 by default). At the
+    size of one stream the cost of a shuffle is its tasks, not its rows.
+    """
+    return df.repartition(df.sparkSession.sparkContext.defaultParallelism, key)
+
+
 def edges_to_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
     """Materialize a numpy ``(m, 2)`` edge list as a stream DataFrame."""
     return columns_to_df(
@@ -62,10 +74,8 @@ def degrees_df(edges_df: DataFrame) -> DataFrame:
     Parallel edges count once per occurrence (the stream model has no
     dedup pass), matching the sequential algorithms' degree counters.
     """
-    ends = edges_df.select(F.col("src").alias("v")).unionAll(
-        edges_df.select(F.col("dst").alias("v"))
-    )
-    return ends.groupBy("v").agg(F.count("*").alias("degree"))
+    ends = edges_df.select(F.explode(F.array("src", "dst")).alias("v"))
+    return hash_partition(ends, "v").groupBy("v").agg(F.count("*").alias("degree"))
 
 
 def degrees_np(edges: np.ndarray, n_vertices: int | None = None) -> np.ndarray:
@@ -90,14 +100,3 @@ def iter_chunks(*cols: np.ndarray) -> Iterator[tuple[int, Iterator[tuple]]]:
     for s in range(0, len(cols[0]), STREAM_CHUNK):
         yield s, zip(*(c[s : s + STREAM_CHUNK].tolist() for c in cols))
 
-
-def relabel_dense(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel vertex ids to a dense 0..n-1 range.
-
-    Returns ``(relabeled_edges, original_ids)`` with original ids sorted
-    so the mapping is deterministic. Sequential algorithms index O(|V|)
-    state arrays by vertex id, which requires density.
-    """
-    ids = np.unique(edges)
-    pos = np.searchsorted(ids, edges)
-    return pos.astype(np.int64), ids

@@ -29,7 +29,7 @@ def communication_cost(edges_df: DataFrame, assign_df: DataFrame, n_iters: int =
         .agg(F.sum(F.col("n_replicas") - 1).alias("sync"))
         .collect()[0]
     )
-    return int(2 * row["sync"] * n_iters)
+    return int(2 * (row["sync"] or 0) * n_iters)  # sum over no rows is null
 
 
 def pagerank_spark(

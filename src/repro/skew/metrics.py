@@ -29,6 +29,8 @@ def regression_rho(degrees: np.ndarray) -> float:
 
 def pearson_skew(degrees: np.ndarray) -> tuple[float, float]:
     """(ρ1, ρ2): Pearson's first (mode-based) and second (median-based)."""
+    if len(degrees) == 0:
+        return float("nan"), float("nan")
     sigma = degrees.std()
     if sigma == 0:
         return 0.0, 0.0

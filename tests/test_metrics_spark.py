@@ -4,20 +4,30 @@ Every query-shaped result (degrees, RF, balance) is validated with
 ``repro.oracle.assert_equivalent`` so a broken join or aggregation is
 caught as a wrong *result*, not just a crash.
 """
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.api import run_partitioner, run_partitioner_spark
-from repro.core.stream import degrees_df, df_to_edges, edges_to_df
+from repro.core.stream import degrees_df, degrees_np, df_to_edges, edges_to_df
+from repro.gas.pagerank import communication_cost
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import (
     load_balance,
     load_balance_np,
+    partition_sizes_df,
     replication_df,
     replication_factor,
     replication_factor_np,
+)
+from repro.skew.metrics import (
+    pearson_skew,
+    planarization_rho3,
+    regression_rho,
+    skewness_metrics,
 )
 from repro.oracle import assert_equivalent
 from repro.baselines.hashing import random_partition
@@ -44,7 +54,33 @@ REPLICATION_SQL = """
     ) GROUP BY v
 """
 
+SIZES_SQL = "SELECT partition, COUNT(*) AS sz FROM assign GROUP BY partition"
+
 ARROW_CONF = "spark.sql.execution.arrow.pyspark.enabled"
+
+HASH_EXCHANGE = re.compile(r"Exchange hashpartitioning\(([^)]*)\), (\w+)")
+
+
+def hash_exchanges(df):
+    """``(keys, partitions, origin)`` of every hash exchange in ``df``'s plan."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    out = []
+    for args, origin in HASH_EXCHANGE.findall(plan):
+        *keys, n = (a.strip() for a in args.split(","))
+        out.append((tuple(k.split("#")[0] for k in keys), int(n), origin))
+    return out
+
+
+def with_conf(spark, conf, fn):
+    """Run ``fn()`` with the session settings ``conf``, then restore them."""
+    old = {key: spark.conf.get(key) for key in conf}
+    try:
+        for key, value in conf.items():
+            spark.conf.set(key, value)
+        return fn()
+    finally:
+        for key, value in old.items():
+            spark.conf.set(key, value)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +93,18 @@ def edges(spark, edges_np):
     df = edges_to_df(spark, edges_np)
     df.cache().count()
     return df
+
+
+@pytest.fixture(scope="module")
+def degenerate_np(edges_np):
+    """The LJ stream plus a self-loop on a new vertex and a repeated edge."""
+    new_v = int(edges_np.max()) + 1
+    return np.vstack([edges_np, [[new_v, new_v], edges_np[0]]])
+
+
+@pytest.fixture(scope="module")
+def degenerate(spark, degenerate_np):
+    return edges_to_df(spark, degenerate_np)
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +122,23 @@ class TestStream:
         np.testing.assert_array_equal(back, edges_np)
 
     def test_empty_stream(self, spark):
-        edges = edges_to_df(spark, np.zeros((0, 2), np.int64))
+        empty = np.zeros((0, 2), np.int64)
+        edges = edges_to_df(spark, empty)
         back = df_to_edges(edges)
         assert back.shape == (0, 2) and back.dtype == np.int64
+        skew = skewness_metrics(edges)
+        assert skew["n_vertices"] == skew["n_edges"] == 0
+        assert all(np.isnan(skew[m]) for m in ("rho", "rho1", "rho2"))
         assign, _ = run_partitioner_spark(spark, edges, "S5P", 8)
         assert assign.count() == 0
         assert assign.dtypes == [("eid", "bigint"), ("partition", "bigint")]
+        # RF and balance divide by |V| and |E|: undefined, not a crash.
+        assert np.isnan(replication_factor(edges, assign))
+        assert np.isnan(load_balance(assign, 8))
+        assert communication_cost(edges, assign, 10) == 0
+        part = np.zeros(0, np.int64)
+        assert np.isnan(replication_factor_np(empty, part, 8))
+        assert np.isnan(load_balance_np(part, 8))
 
     @pytest.mark.parametrize("arrow", ["false", "true"])
     def test_transfer_under_arrow_setting(self, spark, edges_np, arrow):
@@ -114,8 +173,8 @@ class TestStream:
         finally:
             spark.conf.set(ARROW_CONF, old)
 
-    def test_degrees_oracle(self, edges):
-        assert_equivalent(degrees_df(edges), DEGREES_SQL, edges=edges)
+    def test_degrees_oracle(self, degenerate):
+        assert_equivalent(degrees_df(degenerate), DEGREES_SQL, edges=degenerate)
 
     def test_oracle_catches_wrong_result(self, edges):
         wrong = degrees_df(edges).withColumn("degree", F.col("degree") + 1)
@@ -127,14 +186,13 @@ class TestStream:
         with pytest.raises(AssertionError, match="column mismatch"):
             assert_equivalent(renamed, DEGREES_SQL, edges=edges)
 
-    def test_degrees_match_numpy(self, edges, edges_np):
-        from repro.core.stream import degrees_np
-
-        pdf = degrees_df(edges).toPandas().set_index("v").sort_index()
-        d = degrees_np(edges_np)
+    def test_degrees_match_numpy(self, degenerate, degenerate_np):
+        pdf = degrees_df(degenerate).toPandas().set_index("v").sort_index()
+        d = degrees_np(degenerate_np)
         np.testing.assert_array_equal(
             pdf["degree"].to_numpy(), d[pdf.index.to_numpy()]
         )
+        assert pdf["degree"].iloc[-1] == 2  # the self-loop counts twice
 
 
 class TestReplication:
@@ -187,3 +245,64 @@ class TestBalance:
     def test_perfect_balance(self, spark):
         pdf = pd.DataFrame({"eid": np.arange(80), "partition": np.arange(80) % 8})
         assert load_balance(spark.createDataFrame(pdf), 8) == pytest.approx(1.0)
+
+
+class TestShuffle:
+    """Each metric shuffles once, on its key, into ``defaultParallelism``."""
+
+    @pytest.mark.parametrize("broadcast", ["-1", "10485760"])
+    def test_one_exchange_per_metric(self, spark, edges, assign, broadcast):
+        def plans():
+            return {
+                "v": [hash_exchanges(degrees_df(edges)),
+                      hash_exchanges(replication_df(edges, assign))],
+                "partition": [hash_exchanges(partition_sizes_df(assign))],
+            }
+
+        conf = {"spark.sql.autoBroadcastJoinThreshold": broadcast}
+        want_n = spark.sparkContext.defaultParallelism
+        for key, metric_plans in with_conf(spark, conf, plans).items():
+            for exchanges in metric_plans:
+                # A shuffle join on eid comes before the metric's own.
+                own = [x for x in exchanges if x[0] != ("eid",)]
+                assert own == [((key,), want_n, "REPARTITION_BY_NUM")], exchanges
+
+    @pytest.mark.parametrize(
+        "conf",
+        [
+            {"spark.sql.shuffle.partitions": "1"},
+            {"spark.sql.shuffle.partitions": "200"},
+            {"spark.sql.adaptive.enabled": "false"},
+        ],
+        ids=["shuffle-1", "shuffle-200", "aqe-off"],
+    )
+    def test_metrics_independent_of_settings(self, spark, degenerate, degenerate_np, conf):
+        edges_np, edges, k = degenerate_np, degenerate, 8
+        part = random_partition(edges_np, k, seed=5)
+        assign = spark.createDataFrame(
+            pd.DataFrame({"eid": np.arange(len(part)), "partition": part})
+        )
+        v = np.concatenate([edges_np[:, 0], edges_np[:, 1]])
+        n_pairs = len(np.unique(v * k + np.concatenate([part, part])))
+        n_v = len(np.unique(v))
+        d = degrees_np(edges_np)
+        d = d[d > 0]
+        rho1, rho2 = pearson_skew(d)
+        skew_np = {
+            "n_vertices": n_v, "n_edges": len(edges_np), "rho": regression_rho(d),
+            "rho1": rho1, "rho2": rho2, "rho3": planarization_rho3(n_v, len(edges_np)),
+        }
+
+        def check():
+            assert_equivalent(degrees_df(edges), DEGREES_SQL, edges=edges)
+            rep = replication_df(edges, assign)
+            assert_equivalent(rep, REPLICATION_SQL, edges=edges, assign=assign)
+            sizes = partition_sizes_df(assign)
+            assert_equivalent(sizes, SIZES_SQL, assign=assign)
+            assert replication_factor(edges, assign) == replication_factor_np(edges_np, part, k)
+            assert load_balance(assign, k) == load_balance_np(part, k)
+            assert communication_cost(edges, assign, 10) == 2 * 10 * (n_pairs - n_v)
+            # Moments of the degree vector sum in collection order.
+            assert skewness_metrics(edges) == pytest.approx(skew_np, rel=1e-9)
+
+        with_conf(spark, conf, check)
