@@ -1,4 +1,6 @@
 """Tests for every baseline partitioner and the uniform runner."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,91 @@ class TestPaperShape:
         assert replication_factor_np(e, s5p, 16) < replication_factor_np(
             e, clugp, 16
         )
+
+
+#: (partitioner, graph, preset, k) -> first 16 hex digits of the SHA-256 of
+#: the partition's bytes, for every partitioner but S5P (``test_s5p.py`` pins
+#: it). Pinned from 2PS-L's and CLUGP's numpy-indexed clustering loops,
+#: before they moved onto Alg. 1's kernel. On LJ ``test`` 2PS-L's inclusive
+#: cap binds, and CLUGP splits clusters; the ``bench`` cells stream more
+#: than one conversion chunk.
+PINNED = {
+    ("Random", "LJ", "test", 8): "8c9f2d56d351ff23",
+    ("Random", "LJ", "test", 64): "e52ad2831112e8fb",
+    ("Random", "IN", "test", 8): "8c9f2d56d351ff23",
+    ("Random", "IN", "test", 64): "e52ad2831112e8fb",
+    ("Random", "OK", "test", 8): "8c9f2d56d351ff23",
+    ("Random", "OK", "test", 64): "e52ad2831112e8fb",
+    ("DBH", "LJ", "test", 8): "d98e64100e6269d2",
+    ("DBH", "LJ", "test", 64): "675da54f1603ec1d",
+    ("DBH", "IN", "test", 8): "7f2b11e7300abaf1",
+    ("DBH", "IN", "test", 64): "140e03ed47cb4d92",
+    ("DBH", "OK", "test", 8): "46dcea33fe353a0f",
+    ("DBH", "OK", "test", 64): "5a7bee9bb0cbe8c7",
+    ("Grid", "LJ", "test", 8): "54852cdf05131279",
+    ("Grid", "LJ", "test", 64): "e19b288d658f2f83",
+    ("Grid", "IN", "test", 8): "e1ef0b2c6a0df42b",
+    ("Grid", "IN", "test", 64): "c27272e1b9d2917b",
+    ("Grid", "OK", "test", 8): "c8a7e18158a84020",
+    ("Grid", "OK", "test", 64): "039aadcb0e3e3c6b",
+    ("Greedy", "LJ", "test", 8): "f6f507ef8489346f",
+    ("Greedy", "LJ", "test", 64): "b9d6c2a3cfb7eafc",
+    ("Greedy", "IN", "test", 8): "3a86a9be5c659db7",
+    ("Greedy", "IN", "test", 64): "ccde469b8be04e7c",
+    ("Greedy", "OK", "test", 8): "7ecbdc40ece0d926",
+    ("Greedy", "OK", "test", 64): "2a9bdd00530f0018",
+    ("HDRF", "LJ", "test", 8): "069cdb7f88c1f677",
+    ("HDRF", "LJ", "test", 64): "52704750f9d1c0eb",
+    ("HDRF", "IN", "test", 8): "b6a59be4cdd581a8",
+    ("HDRF", "IN", "test", 64): "dbcb4b5915c8b68c",
+    ("HDRF", "OK", "test", 8): "7ccf591e0e470458",
+    ("HDRF", "OK", "test", 64): "d9a6a56635fe4050",
+    ("2PS-L", "LJ", "test", 8): "7156527da6939b29",
+    ("2PS-L", "LJ", "test", 64): "4459548e1358b0c4",
+    ("2PS-L", "IN", "test", 8): "9bc6f0560a05eba0",
+    ("2PS-L", "IN", "test", 64): "94fa1eeca6b710f9",
+    ("2PS-L", "OK", "test", 8): "31e2f32420486fee",
+    ("2PS-L", "OK", "test", 64): "e0506969126b8da0",
+    ("CLUGP", "LJ", "test", 8): "57dd626309832517",
+    ("CLUGP", "LJ", "test", 64): "bd9373b9322c7829",
+    ("CLUGP", "IN", "test", 8): "c1726314d489f699",
+    ("CLUGP", "IN", "test", 64): "821fd90158a56570",
+    ("CLUGP", "OK", "test", 8): "b7ed89b71a745ec4",
+    ("CLUGP", "OK", "test", 64): "9bda162779095e3c",
+    ("NE", "LJ", "test", 8): "dae81aa4a9a89f98",
+    ("NE", "LJ", "test", 64): "c53a609d3b896b25",
+    ("NE", "IN", "test", 8): "aa3b02927c54654e",
+    ("NE", "IN", "test", 64): "3786c90f26ac2e31",
+    ("NE", "OK", "test", 8): "852657f9c6821b53",
+    ("NE", "OK", "test", 64): "03109fb4435876ee",
+    ("RMGP", "LJ", "test", 8): "0c54f2b475f1e87f",
+    ("RMGP", "LJ", "test", 64): "b3ca75a1f72ef78b",
+    ("RMGP", "IN", "test", 8): "26fa4b3902f4cce8",
+    ("RMGP", "IN", "test", 64): "b0eb79f9c7b0cee8",
+    ("RMGP", "OK", "test", 8): "ff5a26c8ccb04797",
+    ("RMGP", "OK", "test", 64): "ac9cad6da4274d8c",
+    ("MDSGP", "LJ", "test", 8): "635793df8b9cfa9a",
+    ("MDSGP", "LJ", "test", 64): "d4ed2958117737b4",
+    ("MDSGP", "IN", "test", 8): "c8730209ae5cde31",
+    ("MDSGP", "IN", "test", 64): "e523b5fae5d64a17",
+    ("MDSGP", "OK", "test", 8): "ae91824785e98ba4",
+    ("MDSGP", "OK", "test", 64): "f508594654706b5a",
+    ("CVSP", "LJ", "test", 8): "e3ab456e3d9f9e7f",
+    ("CVSP", "LJ", "test", 64): "ca52dad197d16f0c",
+    ("CVSP", "IN", "test", 8): "854f680fba918e97",
+    ("CVSP", "IN", "test", 64): "783abfed8ca7aeb2",
+    ("CVSP", "OK", "test", 8): "714dc30531b9c815",
+    ("CVSP", "OK", "test", 64): "3c5bfa2149b6c8a5",
+    ("2PS-L", "LJ", "bench", 64): "68e8435111de67b6",
+    ("2PS-L", "IN", "bench", 64): "efe59a042bcc9c2e",
+    ("CLUGP", "LJ", "bench", 64): "bcbec8643e86ef8b",
+    ("CLUGP", "IN", "bench", 64): "04f0ea171eb216a0",
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name,graph,preset,k", sorted(PINNED))
+    def test_pinned_digests(self, name, graph, preset, k):
+        part = PARTITIONERS[name](standin_edges(graph, preset), k)
+        digest = hashlib.sha256(part.tobytes()).hexdigest()[:16]
+        assert digest == PINNED[name, graph, preset, k]
