@@ -5,7 +5,8 @@ Differences from S5P that this implementation preserves (Section 3):
 
 * clustering is **skewness-oblivious**: one vertex-to-cluster table,
   volumes tracked with *local* degrees, plus a *splitting* operation
-  when a cluster overflows (Table 1 row "CLUGP-Clustering");
+  when a cluster overflows (Table 1 row "CLUGP-Clustering"): Alg. 1's
+  allocation–migration kernel with every edge local and ``split=True``;
 * the refinement game is **static** (simultaneous-move, one player
   class) rather than a sequential Stackelberg game — we reuse the game
   engine in ``one_stage`` mode with no leader set;
@@ -16,60 +17,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.clustering import cluster_capacity
+from repro.core.clustering import allocate_migrate, cluster_capacity
 from repro.core.game import stackelberg_game
 from repro.core.postprocess import assign_edges
+from repro.core.stream import degrees_np
 from repro.core.theta import ExactTheta
-
-
-def clugp_cluster(
-    edges: np.ndarray, kappa: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """CLUGP streaming clustering (local degrees + splitting)."""
-    n_v = int(edges.max()) + 1 if len(edges) else 0
-    v2c = np.full(n_v, -1, dtype=np.int64)
-    # splitting mints an unbounded number of cluster ids → grow on demand
-    vol = np.zeros(2 * n_v + 4, dtype=np.float64)
-    ld = np.zeros(n_v, dtype=np.int64)
-    next_id = 0
-
-    def ensure(cap: int) -> None:
-        nonlocal vol
-        if cap >= len(vol):
-            vol = np.concatenate([vol, np.zeros(len(vol) + cap)])
-    for u, v in edges:
-        u = int(u); v = int(v)
-        ensure(next_id + 2)
-        if v2c[u] < 0:
-            v2c[u] = next_id; next_id += 1
-        if v2c[v] < 0:
-            v2c[v] = next_id; next_id += 1
-        ld[u] += 1; ld[v] += 1
-        cu, cv = v2c[u], v2c[v]
-        vol[cu] += 1; vol[cv] += 1
-        if cu != cv and vol[cu] < kappa and vol[cv] < kappa:
-            # local-degree migration: lighter cluster's vertex moves
-            if vol[cu] <= vol[cv]:
-                i, ci, cj = u, cu, cv
-            else:
-                i, ci, cj = v, cv, cu
-            vol[cj] += ld[i]; vol[ci] -= ld[i]
-            v2c[i] = cj
-        else:
-            # splitting: an overflowing vertex restarts in a new cluster
-            for z in (u, v):
-                if vol[v2c[z]] >= kappa and ld[z] < kappa:
-                    v2c[z] = next_id
-                    vol[next_id] = ld[z]
-                    next_id += 1
-    return v2c, vol[:next_id], next_id
 
 
 def clugp_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
     """Run CLUGP (clustering → static game → postprocess)."""
     n_e = len(edges)
-    kappa = cluster_capacity(n_e, k)
-    v2c, vol, n_clusters = clugp_cluster(edges, kappa)
+    _, v2c, vol, _ = allocate_migrate(
+        edges[:, 0], edges[:, 1], np.zeros(n_e, dtype=bool), degrees_np(edges),
+        cluster_capacity(n_e, k), split=True,
+    )
+    n_clusters = len(vol)
     edge_cu = v2c[edges[:, 0]]
     edge_cv = v2c[edges[:, 1]]
     sizes = np.bincount(edge_cu, minlength=n_clusters).astype(np.int64)

@@ -5,6 +5,9 @@ A single sequential pass over the edge stream. Edges are classified as
 clustered with **global**-degree volumes, tail edges with **local**
 (running) degree volumes, both capped at κ via an allocation–migration
 scheme. Head vertices may appear in both tables (Definition 1).
+:func:`allocate_migrate` is that scheme, shared with the 2PS-L and CLUGP
+baselines, which differ only in which edges are global and in CLUGP's
+splitting (the paper's Table 1).
 
 The bounded variant S5P-B (Section 5.3) uses global degrees everywhere
 and drops the κ constraint (pass ``kappa=inf, use_local_degrees=False``).
@@ -83,41 +86,41 @@ def cluster_capacity(n_edges: int, k: int) -> float:
     return 2.0 * n_edges / k
 
 
-def skewness_aware_clustering(
-    edges: np.ndarray,
-    k: int,
+def allocate_migrate(
+    src: np.ndarray,
+    dst: np.ndarray,
+    edge_global: np.ndarray,
+    degrees: np.ndarray,
+    kappa: float,
     *,
-    beta: float = 1.0,
-    kappa: float | None = None,
-    use_local_degrees: bool = True,
-) -> ClusteringResult:
-    """Run Algorithm 1 over an arrival-ordered ``(m, 2)`` edge array.
+    split: bool = False,
+    tail_moves_global: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One allocation–migration pass over an arrival-ordered edge stream.
 
-    Global degrees are precomputed in one pass, as in 2PS-L;
-    ``use_local_degrees=False`` selects the S5P-B variant for tail
-    volumes. Returns per-vertex tables and per-edge cluster views.
+    The streaming clustering step of the paper's Table 1. A *global* edge
+    is clustered in the global table with global-degree volumes, a
+    *local* edge in the local table with local (running) degree volumes,
+    both capped at ``kappa``. Alg. 1 marks its head edges global; 2PS-L
+    marks every edge global, CLUGP every edge local with ``split=True``.
+    ``split`` restarts a vertex whose local cluster is full in a new
+    cluster (CLUGP's splitting); ``tail_moves_global`` moves local-table
+    vertices by their global degree (S5P-B). ``degrees`` is indexed by
+    vertex id. Returns the global table, the local table (vertex ->
+    cluster id, -1 if none), the volume per cluster id and whether each
+    cluster is global.
     """
-    n_v = int(edges.max()) + 1 if len(edges) else 0
-    n_e = len(edges)
-    degrees = degrees_np(edges, n_v)
-    xi = head_threshold(n_v, n_e, beta)
-    if kappa is None:
-        kappa = cluster_capacity(n_e, k)
-
-    head_v = degrees > xi
-    src, dst = edges[:, 0], edges[:, 1]
-    eh = head_v[src] & head_v[dst]
-
+    n_v = len(degrees)
     # Per-vertex state in Python lists: the loop runs on Python scalars.
     v2c_h = [-1] * n_v
     v2c_t = [-1] * n_v
     ld = [0] * n_v
     d = degrees.tolist()
-    ldeg = ld if use_local_degrees else d
+    ldeg = d if tail_moves_global else ld
     vol: list[float] = []  # per cluster id, grown as clusters are created
     is_head_c: list[bool] = []
 
-    for _, rows in iter_chunks(src, dst, eh):
+    for _, rows in iter_chunks(src, dst, edge_global):
         for u, v, head in rows:
             if head:
                 # --- head edge: global-degree-aware (lines 2-11) ---
@@ -151,11 +154,50 @@ def skewness_aware_clustering(
                         i, ci, cj = v, cv, cu
                     vol[cj] += ldeg[i]; vol[ci] -= ldeg[i]  # lines 19-21
                     v2c_t[i] = cj
+                elif split:
+                    # CLUGP: a vertex in a full cluster restarts in a new
+                    # one; the old cluster's volume is left as it was.
+                    for z in (u, v):
+                        if vol[v2c_t[z]] >= kappa and ld[z] < kappa:
+                            v2c_t[z] = len(vol); vol.append(float(ld[z])); is_head_c.append(False)
 
     # Drop the degree lists before the tables become arrays (lower peak).
     del ld, d, ldeg
-    v2c_h = np.array(v2c_h, dtype=np.int64)
-    v2c_t = np.array(v2c_t, dtype=np.int64)
+    return (
+        np.array(v2c_h, dtype=np.int64),
+        np.array(v2c_t, dtype=np.int64),
+        np.array(vol, dtype=np.float64),
+        np.array(is_head_c, dtype=bool),
+    )
+
+
+def skewness_aware_clustering(
+    edges: np.ndarray,
+    k: int,
+    *,
+    beta: float = 1.0,
+    kappa: float | None = None,
+    use_local_degrees: bool = True,
+) -> ClusteringResult:
+    """Run Algorithm 1 over an arrival-ordered ``(m, 2)`` edge array.
+
+    Global degrees are precomputed in one pass, as in 2PS-L;
+    ``use_local_degrees=False`` selects the S5P-B variant for tail
+    volumes. Returns per-vertex tables and per-edge cluster views.
+    """
+    n_v = int(edges.max()) + 1 if len(edges) else 0
+    n_e = len(edges)
+    degrees = degrees_np(edges, n_v)
+    xi = head_threshold(n_v, n_e, beta)
+    if kappa is None:
+        kappa = cluster_capacity(n_e, k)
+
+    head_v = degrees > xi
+    src, dst = edges[:, 0], edges[:, 1]
+    eh = head_v[src] & head_v[dst]
+    v2c_h, v2c_t, vol, is_head_c = allocate_migrate(
+        src, dst, eh, degrees, kappa, tail_moves_global=not use_local_degrees
+    )
     n_clusters = len(vol)
     edge_cu = np.where(eh, v2c_h[src], v2c_t[src])
     edge_cv = np.where(eh, v2c_h[dst], v2c_t[dst])
@@ -170,8 +212,8 @@ def skewness_aware_clustering(
         edge_cu=edge_cu.astype(np.int64),
         edge_cv=edge_cv.astype(np.int64),
         n_clusters=n_clusters,
-        cluster_is_head=np.array(is_head_c, dtype=bool),
-        cluster_volume=np.array(vol, dtype=np.float64),
+        cluster_is_head=is_head_c,
+        cluster_volume=vol,
         edges_src=src.copy(),
         edges_dst=dst.copy(),
         cluster_sizes=np.bincount(edge_cu, minlength=n_clusters).astype(np.int64),

@@ -1,8 +1,11 @@
 """Tests for skewness-aware streaming clustering (Algorithm 1)."""
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.clustering import (
+    allocate_migrate,
     cluster_capacity,
     head_threshold,
     skewness_aware_clustering,
@@ -129,6 +132,32 @@ class TestMigration:
         live_a = len(np.unique(a.v2c_tail[a.v2c_tail >= 0]))
         live_b = len(np.unique(b.v2c_tail[b.v2c_tail >= 0]))
         assert live_a <= live_b
+
+
+    def test_inclusive_cap_moves_at_exact_capacity(self):
+        # Edge (0, 1) offers vertex 0 (d=2) to cluster {1} (vol 1):
+        # vol + d == κ == 3. Alg. 1 admits vol + d < κ; 2PS-L admits
+        # vol + d <= κ, which it passes to the kernel as the cap ⌊κ⌋+1.
+        e = np.array([[0, 1], [0, 2]], dtype=np.int64)
+        args = (e[:, 0], e[:, 1], np.ones(len(e), dtype=bool), degrees_np(e))
+        alg1, *_ = allocate_migrate(*args, 3.0)
+        twops, *_ = allocate_migrate(*args, math.floor(3.0) + 1)
+        assert alg1.tolist() == [0, 1, 2]
+        assert twops.tolist() == [1, 1, 2]
+
+    def test_split_restarts_vertices_of_a_full_cluster(self):
+        # The first edge merges 0 into 1's cluster; the repeat fills it
+        # (vol 4 >= κ = 3) while both local degrees are 2 < κ, so CLUGP
+        # restarts each endpoint in a new cluster of volume ld = 2 and
+        # leaves the old cluster's volume as it was.
+        e = np.array([[0, 1], [0, 1]], dtype=np.int64)
+        args = (e[:, 0], e[:, 1], np.zeros(len(e), dtype=bool), degrees_np(e), 3.0)
+        _, plain, plain_vol, _ = allocate_migrate(*args)
+        _, split, split_vol, is_global = allocate_migrate(*args, split=True)
+        assert plain.tolist() == [1, 1] and plain_vol.tolist() == [0.0, 4.0]
+        assert split.tolist() == [2, 3]
+        assert split_vol.tolist() == [0.0, 4.0, 2.0, 2.0]
+        assert not is_global.any()
 
 
 class TestCutPairs:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.baselines.api import run_partitioner_spark
+from repro.baselines.api import PARTITIONERS, run_partitioner_spark
 from repro.core.clustering import skewness_aware_clustering
 from repro.core.game import stackelberg_game
 from repro.core.postprocess import assign_edges, max_load
@@ -184,13 +184,15 @@ class TestBitIdentity:
 
 
 class TestRobustness:
-    def test_sparse_vertex_id(self):
-        # State is sized by the largest id: the Python-list state must
-        # stay within what the numpy arrays it replaced took (48.6 MiB).
+    @pytest.mark.parametrize("name", ["S5P", "2PS-L", "CLUGP"])
+    def test_sparse_vertex_id(self, name):
+        # State is sized by the largest id: the Python-list state of the
+        # clustering kernel must stay within what the numpy arrays it
+        # replaced took (48.6 MiB for S5P).
         e = np.array([[0, 1], [1, 10**6], [2, 0]], dtype=np.int64)
         tracemalloc.start()
         try:
-            part, _ = s5p_partition_np(e, 4)
+            part = PARTITIONERS[name](e, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
