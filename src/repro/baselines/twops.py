@@ -7,10 +7,10 @@ kernel with every edge global.
 
 Phase 2 — linear-time partitioning: clusters are packed onto partitions
 greedily, largest volume first, each onto the least-loaded partition
-(:func:`~repro.core.game.initial_assignment`); each edge then chooses between only the
-two partitions of its endpoints' clusters (degree-based preference for
-co-locating the lower-degree endpoint), falling back to the least-loaded
-partition when both are at the cap. Per-edge cost is O(1) in k — the
+(:func:`~repro.core.game.initial_assignment`); each edge then chooses
+between only the two partitions of its endpoints' clusters (degree-based
+preference for co-locating the lower-degree endpoint), falling back to
+the least-loaded partition when both are at the cap. Per-edge cost is O(1) in k — the
 linear-run-time property the paper contrasts with HDRF.
 """
 from __future__ import annotations
@@ -28,8 +28,7 @@ from repro.core.stream import degrees_np
 def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
     """Run both 2PS-L phases; returns the per-edge partition array."""
     n_e = len(edges)
-    n_v = int(edges.max()) + 1 if n_e else 0
-    degrees = degrees_np(edges, n_v)
+    degrees = degrees_np(edges)
     src, dst = edges[:, 0], edges[:, 1]
     # 2PS-L admits a move when vol + d <= κ, the kernel when vol + d < cap.
     # Global volumes are integer sums of integer degrees, so the cap

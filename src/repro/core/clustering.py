@@ -163,12 +163,9 @@ def allocate_migrate(
 
     # Drop the degree lists before the tables become arrays (lower peak).
     del ld, d, ldeg
-    return (
-        np.array(v2c_h, dtype=np.int64),
-        np.array(v2c_t, dtype=np.int64),
-        np.array(vol, dtype=np.float64),
-        np.array(is_head_c, dtype=bool),
-    )
+    v2c_h = np.array(v2c_h, dtype=np.int64)
+    v2c_t = np.array(v2c_t, dtype=np.int64)
+    return v2c_h, v2c_t, np.array(vol, dtype=np.float64), np.array(is_head_c, dtype=bool)
 
 
 def skewness_aware_clustering(
