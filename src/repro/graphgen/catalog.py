@@ -6,7 +6,8 @@ from the paper's |V|/|E| ratio so the average degree — which fixes the
 head/tail threshold ξ = β·2|E|/|V| — is preserved at every preset.
 
 Presets scale the full stand-in: ``test`` (tiny, unit tests), ``bench``
-(pytest-benchmark), ``full`` (jobs that regenerate the tables).
+(the Table 4 job, perfbench's Spark workload), ``full`` (jobs that
+regenerate the tables).
 """
 from __future__ import annotations
 
