@@ -19,6 +19,18 @@ from repro.core.postprocess import max_load
 from repro.core.stream import degrees_np
 
 
+#: RMGP: best-response sweeps over all vertices before it gives up.
+RMGP_MAX_ITERS = 30
+#: RMGP: seed of the random initial vertex partition.
+RMGP_SEED = 0
+#: MDSGP: edges that best-respond together.
+MDSGP_WINDOW = 2048
+#: MDSGP: repeated plays over all windows (the paper's r).
+MDSGP_ROUNDS = 2
+#: MDSGP: best-response iterations per window and play.
+MDSGP_INNER_ITERS = 3
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when a method exceeds its time or memory budget."""
 
@@ -27,11 +39,8 @@ def rmgp_partition(
     edges: np.ndarray,
     k: int,
     *,
-    tau: float = 1.0,
-    max_iters: int = 30,
     time_budget_s: float = 600.0,
     max_vertices: int = 6000,
-    seed: int = 0,
 ) -> np.ndarray:
     """RMGP-style multiplayer Nash game over vertices (edge-cut flavor).
 
@@ -39,7 +48,8 @@ def rmgp_partition(
     a quadratic balance penalty, and (dis)similarity to the partition's
     members, computed from an explicit |V|×|V| similarity matrix — the
     O(|V|²) space / O(|V|³)-ish time profile the paper cites. Edges then
-    follow the lower-degree endpoint's vertex partition.
+    follow the lower-degree endpoint's vertex partition. It has no load
+    cap, so it takes no ``tau``.
     """
     t0 = time.perf_counter()
     n_v = int(edges.max()) + 1 if len(edges) else 0
@@ -51,7 +61,7 @@ def rmgp_partition(
     # semantic-similarity stand-in: degree-profile affinity
     d = deg.astype(np.float64)
     sim = 1.0 / (1.0 + np.abs(d[:, None] - d[None, :]))
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(RMGP_SEED)
     vpart = g.integers(0, k, n_v)
 
     # vertex adjacency as CSR
@@ -62,7 +72,7 @@ def rmgp_partition(
     ptr = np.searchsorted(src[order], np.arange(n_v + 1))
 
     w_bal = len(edges) / max(n_v, 1) / k
-    for _ in range(max_iters):
+    for _ in range(RMGP_MAX_ITERS):
         changed = False
         sizes = np.bincount(vpart, minlength=k).astype(np.float64)
         # per-partition similarity mass for every vertex: O(|V|²·?) via matmul
@@ -93,18 +103,15 @@ def mdsgp_partition(
     k: int,
     *,
     tau: float = 1.0,
-    window: int = 2048,
-    rounds: int = 2,
-    inner_iters: int = 3,
     time_budget_s: float = 600.0,
 ) -> np.ndarray:
     """MDSGP-style multiplayer repeated game over edge windows.
 
     Edges inside a window best-respond (replication delta + balance)
     against the global replica state for a few iterations; the schedule
-    repeats ``rounds`` times over all windows (the paper's r repeated
-    plays). O(r·|E|·k) time — slower and hungrier than S5P, better RF
-    than pure hashing.
+    repeats :data:`MDSGP_ROUNDS` times over all windows (the paper's r
+    repeated plays). O(r·|E|·k) time — slower and hungrier than S5P,
+    better RF than pure hashing.
     """
     t0 = time.perf_counter()
     n_v = int(edges.max()) + 1 if len(edges) else 0
@@ -115,12 +122,12 @@ def mdsgp_partition(
     out = np.full(n_e, -1, dtype=np.int64)
     bal = n_e / k / 10.0
     src, dst = edges[:, 0], edges[:, 1]
-    for _ in range(rounds):
-        for start in range(0, n_e, window):
+    for _ in range(MDSGP_ROUNDS):
+        for start in range(0, n_e, MDSGP_WINDOW):
             if time.perf_counter() - t0 > time_budget_s:
                 raise BudgetExceeded("MDSGP exceeded its time budget")
-            end = min(start + window, n_e)
-            for _ in range(inner_iters):
+            end = min(start + MDSGP_WINDOW, n_e)
+            for _ in range(MDSGP_INNER_ITERS):
                 changed = False
                 for i in range(start, end):
                     u = int(src[i]); v = int(dst[i])
@@ -131,8 +138,10 @@ def mdsgp_partition(
                     cost = new_reps + bal * loads / max(loads.max(), 1)
                     cost[loads >= cap] = np.inf
                     p = int(np.argmin(cost))
-                    if old >= 0 and not np.isfinite(cost[p]):
-                        p = old
+                    if not np.isfinite(cost[p]):
+                        # every partition at the cap (τ < 1): stay, or
+                        # spill a new edge to the least-loaded partition
+                        p = old if old >= 0 else int(np.argmin(loads))
                     loads[p] += 1
                     if p != old:
                         changed = True

@@ -20,15 +20,13 @@ import numpy as np
 
 from repro.core.postprocess import max_load
 
+#: λ, the weight of the balance term.
+LAM = 1.1
+#: ε, which keeps the balance term finite when every load is equal.
+EPS = 1e-3
 
-def hdrf_partition(
-    edges: np.ndarray,
-    k: int,
-    *,
-    lam: float = 1.1,
-    eps: float = 1e-3,
-    tau: float = 1.0,
-) -> np.ndarray:
+
+def hdrf_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
     """Run HDRF over the stream; returns the per-edge partition array."""
     n_v = int(edges.max()) + 1 if len(edges) else 0
     n_e = len(edges)
@@ -47,10 +45,12 @@ def hdrf_partition(
         g_u = np.where(replicas[u], 2.0 - theta_u, 0.0)
         g_v = np.where(replicas[v], 2.0 - theta_v, 0.0)
         max_l = loads.max(); min_l = loads.min()
-        bal = lam * (max_l - loads) / (eps + max_l - min_l)
+        bal = LAM * (max_l - loads) / (EPS + max_l - min_l)
         score = g_u + g_v + bal
         score[loads >= cap] = -np.inf  # same balance constraint as S5P
         p = int(np.argmax(score))
+        if score[p] == -np.inf:  # τ < 1, every partition at the cap: spill
+            p = int(np.argmin(loads))
         out[i] = p
         replicas[u, p] = True
         replicas[v, p] = True

@@ -4,8 +4,9 @@ Representative offline baseline (the paper's other offline baselines,
 METIS and HEP, appear only in figure experiments — see DESIGN.md §5).
 Grows each partition from a seed by repeatedly absorbing the boundary
 vertex with the fewest unassigned external edges, assigning its
-unassigned edges, until the partition reaches |E|/k. Requires the whole
-graph in memory — the offline trade-off Figure 6 is about.
+unassigned edges, until the partition reaches the cap ⌈τ|E|/k⌉.
+Requires the whole graph in memory — the offline trade-off Figure 6 is
+about.
 """
 from __future__ import annotations
 
@@ -67,5 +68,11 @@ def ne_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
                         heapq.heappush(heap, (int(unassigned_deg[y]), int(y)))
             if count >= cap:
                 break
-    assigned[assigned < 0] = k - 1  # leftovers form the last partition
+    # Leftovers fill the last partition up to the cap, then each goes to
+    # the least-loaded partition.
+    loads = np.bincount(assigned[assigned >= 0], minlength=k).tolist()
+    for eid in np.flatnonzero(assigned < 0).tolist():
+        p = k - 1 if loads[k - 1] < cap else loads.index(min(loads))
+        assigned[eid] = p
+        loads[p] += 1
     return assigned

@@ -8,10 +8,12 @@ kernel with every edge global.
 Phase 2 — linear-time partitioning: clusters are packed onto partitions
 greedily, largest volume first, each onto the least-loaded partition
 (:func:`~repro.core.game.initial_assignment`); each edge then chooses
-between only the two partitions of its endpoints' clusters (degree-based
-preference for co-locating the lower-degree endpoint), falling back to
-the least-loaded partition when both are at the cap. Per-edge cost is O(1) in k — the
-linear-run-time property the paper contrasts with HDRF.
+between only the two partitions of its endpoints' clusters: the
+lower-degree endpoint's first, then the other's, then the least-loaded
+partition when both are at the cap. Both candidates are computed for
+all edges at once; only the placement, which depends on the loads so
+far, is sequential. Its cost is O(1) in k unless both candidates are
+full — the linear-run-time property the paper contrasts with HDRF.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from repro.core.clustering import allocate_migrate, cluster_capacity
 from repro.core.game import initial_assignment
 from repro.core.postprocess import max_load
-from repro.core.stream import degrees_np
+from repro.core.stream import degrees_np, iter_chunks
 
 
 def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
@@ -41,23 +43,25 @@ def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarra
         math.floor(cluster_capacity(n_e, k)) + 1,
     )
     c2p = initial_assignment(vol, k)
+    pu = c2p[v2c[src]]
+    pv = c2p[v2c[dst]]
+    # The lower-degree endpoint's cluster partition is tried first; u wins ties.
+    u_first = degrees[src] <= degrees[dst]
+    first = np.where(u_first, pu, pv)
+    second = np.where(u_first, pv, pu)
     cap = max_load(n_e, k, tau)
-    loads = np.zeros(k, dtype=np.int64)
+    loads = [0] * k
     out = np.empty(n_e, dtype=np.int64)
-    for i in range(n_e):
-        u = int(src[i]); v = int(dst[i])
-        pu = int(c2p[v2c[u]]); pv = int(c2p[v2c[v]])
-        if pu == pv and loads[pu] < cap:
-            p = pu
-        else:
-            # prefer the partition of the lower-degree endpoint's cluster
-            first, second = (pu, pv) if degrees[u] <= degrees[v] else (pv, pu)
-            if loads[first] < cap:
-                p = first
-            elif loads[second] < cap:
-                p = second
+    for s, rows in iter_chunks(first, second):
+        placed = []
+        for a, b in rows:
+            if loads[a] < cap:
+                p = a
+            elif loads[b] < cap:
+                p = b
             else:
-                p = int(np.argmin(loads))
-        out[i] = p
-        loads[p] += 1
+                p = loads.index(min(loads))
+            placed.append(p)
+            loads[p] += 1
+        out[s : s + len(placed)] = placed
     return out

@@ -38,8 +38,8 @@ class ClusteringResult:
     n_clusters: int
     cluster_is_head: np.ndarray  # bool per cluster id
     cluster_volume: np.ndarray  # final vol(·) per cluster id
-    edges_src: np.ndarray  # the stream's src column (arrival order)
-    edges_dst: np.ndarray  # the stream's dst column
+    edges_src: np.ndarray  # view of the stream's src column (arrival order)
+    edges_dst: np.ndarray  # view of the stream's dst column
     # |c| per cluster id: each edge is *owned* by its src endpoint's
     # cluster, which partitions E exactly (Σ|c_i| = |E|) as the cost
     # functions require.
@@ -206,12 +206,12 @@ def skewness_aware_clustering(
         v2c_head=v2c_h,
         v2c_tail=v2c_t,
         edge_is_head=eh,
-        edge_cu=edge_cu.astype(np.int64),
-        edge_cv=edge_cv.astype(np.int64),
+        edge_cu=edge_cu,
+        edge_cv=edge_cv,
         n_clusters=n_clusters,
         cluster_is_head=is_head_c,
         cluster_volume=vol,
-        edges_src=src.copy(),
-        edges_dst=dst.copy(),
+        edges_src=src,
+        edges_dst=dst,
         cluster_sizes=np.bincount(edge_cu, minlength=n_clusters).astype(np.int64),
     )

@@ -73,6 +73,14 @@ class TestInvariants:
         tail_cl = np.unique(cl.edge_cu[~cl.edge_is_head])
         assert not cl.cluster_is_head[tail_cl].any()
 
+    def test_stream_columns_are_views(self, lj_test):
+        # the result holds the caller's stream, not a second copy of it
+        cl = skewness_aware_clustering(lj_test, 8)
+        assert np.shares_memory(cl.edges_src, lj_test)
+        assert np.shares_memory(cl.edges_dst, lj_test)
+        np.testing.assert_array_equal(cl.edges_src, lj_test[:, 0])
+        np.testing.assert_array_equal(cl.edges_dst, lj_test[:, 1])
+
     def test_cluster_ids_dense_range(self, lj_test):
         cl = skewness_aware_clustering(lj_test, 8)
         assert cl.edge_cu.max() < cl.n_clusters

@@ -1,11 +1,11 @@
-"""Tests for the GAS/PowerGraph substrate (communication cost + PageRank)."""
+"""Tests for the GAS/PowerGraph substrate: replica-synchronization cost."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.baselines.api import run_partitioner_spark
 from repro.core.stream import edges_to_df
-from repro.gas.pagerank import communication_cost, pagerank_np, pagerank_spark
+from repro.gas.pagerank import communication_cost
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import replication_factor
 
@@ -20,32 +20,6 @@ def edges(spark, edges_np):
     df = edges_to_df(spark, edges_np)
     df.cache().count()
     return df
-
-
-class TestPagerank:
-    def test_spark_matches_numpy(self, spark, edges, edges_np):
-        got = pagerank_spark(edges, n_iters=5).toPandas().set_index("v")["rank"]
-        ref = pagerank_np(edges_np, n_iters=5)
-        for v, r in got.items():
-            assert r == pytest.approx(ref[int(v)], rel=1e-6)
-
-    def test_ranks_sum_to_one(self, edges):
-        total = pagerank_spark(edges, n_iters=3).toPandas()["rank"].sum()
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_numpy_ranks_sum_to_one(self, edges_np):
-        assert pagerank_np(edges_np, 5).sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_hub_outranks_leaf(self, edges_np):
-        # PageRank flows along in-edges: compare by in-degree
-        ranks = pagerank_np(edges_np, 10)
-        in_deg = np.bincount(edges_np[:, 1], minlength=int(edges_np.max()) + 1)
-        from repro.core.stream import degrees_np
-
-        present = degrees_np(edges_np) > 0
-        hub = int(np.argmax(in_deg))
-        leaf_rank = ranks[present & (in_deg <= 1)].mean()
-        assert ranks[hub] > leaf_rank
 
 
 class TestCommunication:
