@@ -43,12 +43,11 @@ def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarra
         math.floor(cluster_capacity(n_e, k)) + 1,
     )
     c2p = initial_assignment(vol, k)
-    pu = c2p[v2c[src]]
-    pv = c2p[v2c[dst]]
     # The lower-degree endpoint's cluster partition is tried first; u wins ties.
-    u_first = degrees[src] <= degrees[dst]
-    first = np.where(u_first, pu, pv)
-    second = np.where(u_first, pv, pu)
+    swap = degrees[src] > degrees[dst]
+    first = c2p[v2c[src]]
+    second = c2p[v2c[dst]]
+    first[swap], second[swap] = second[swap], first[swap]
     cap = max_load(n_e, k, tau)
     loads = [0] * k
     out = np.empty(n_e, dtype=np.int64)
