@@ -61,7 +61,15 @@ class RunStats:
 def run_partitioner(
     edges: np.ndarray, name: str, k: int, **kwargs
 ) -> tuple[np.ndarray, RunStats]:
-    """Run a registered partitioner with timing + peak-memory tracking."""
+    """Run a registered partitioner with timing + peak-memory tracking.
+
+    The call runs under ``tracemalloc``, so ``wall_s`` includes a cost
+    per allocation that depends on code layout as well as on the work:
+    on IN ``bench`` at k=64, S5P's clustering kernel ``allocate_migrate``
+    runs ≈14× slower traced (0.25–0.30 vs 0.018–0.020 s), ``assign_edges``
+    ≈8× and the game ≈6×. The inflation therefore differs by stage and
+    by method, and a traced time compares two methods only loosely.
+    """
     fn = PARTITIONERS[name]
     tracemalloc.start()
     t0 = time.perf_counter()

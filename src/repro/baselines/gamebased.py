@@ -49,7 +49,11 @@ def rmgp_partition(
     members, computed from an explicit |V|×|V| similarity matrix — the
     O(|V|²) space / O(|V|³)-ish time profile the paper cites. Edges then
     follow the lower-degree endpoint's vertex partition. It has no load
-    cap, so it takes no ``tau``.
+    cap, so it takes no ``tau``, and its balance weight
+    ``w_bal = |E|/|V|/k`` shrinks with k: over the 27 stand-in cells per
+    k that it finishes (17 ``test``, 10 ``bench``), its largest partition
+    holds a median of 1.7× ⌈|E|/k⌉ at k=8 (max 4.4×), 14× at k=64 (max
+    40×) and 83× at k=256 (max 231×, OK ``test``: 3 697 of 4 000 edges).
     """
     t0 = time.perf_counter()
     n_v = int(edges.max()) + 1 if len(edges) else 0

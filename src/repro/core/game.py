@@ -31,6 +31,7 @@ class GameResult:
     converged: bool
     delta: float
     welfare: float
+    moves_per_round: list[int]  # clusters that changed partition, per round
 
 
 class ClusterGraph:
@@ -192,6 +193,34 @@ def synchronous_round(
     return out
 
 
+def _respond(
+    m_row: np.ndarray,
+    loads: np.ndarray,
+    cur: int,
+    size: float,
+    w_tot: float,
+    k: int,
+    a: float,
+    cost: np.ndarray,
+    cut: np.ndarray,
+) -> int:
+    """:func:`_best_response`'s arithmetic on a mass-matrix row, into the
+    preallocated buffers ``cost`` and ``cut``; ``a`` is ``δ/k·|c|``.
+
+    A separate function because ``tracemalloc`` walks the allocating
+    function's line table on every traced allocation, which costs more
+    in a long function than in a short one.
+    """
+    np.add(loads, size, out=cost)
+    cost[cur] = (loads[cur] - size) + size
+    np.multiply(cost, a, out=cost)
+    np.subtract(w_tot, m_row, out=cut)
+    np.divide(cut, k, out=cut)
+    np.add(cost, cut, out=cost)
+    cost[cur] -= 1e-9
+    return int(cost.argmin())
+
+
 def stackelberg_game(
     n_clusters: int,
     sizes: np.ndarray,
@@ -215,6 +244,12 @@ def stackelberg_game(
     against a frozen snapshot, then applied together — faster rounds,
     but simultaneous pair-swaps can oscillate, which is why the paper
     (and we) cap the number of rounds.
+
+    Each response reads ``M[c, p]``, the Θ mass of ``c``'s neighbours in
+    partition ``p``, from a matrix kept up to date as clusters move, so
+    only a move touches the neighbour lists. ``M`` and ``W_c`` are sums
+    of integer-valued Θ counts, exact in float64, so every response is
+    bit-identical to :func:`_best_response` on the same profile.
     """
     g = ClusterGraph(n_clusters, sizes, theta_pairs)
     delta = delta_max(g, k)
@@ -224,37 +259,72 @@ def stackelberg_game(
         c2p = stackelberg_initial_assignment(g, cluster_is_head, k)
     loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
 
-    # Skipping dead ids changes nothing but round time.
+    # Players are the active clusters, renumbered 0..n_act-1 in id order
+    # (skipping dead ids changes nothing but round time). Θ weights are
+    # positive, so every neighbour of an active cluster is active and
+    # the CSR rows of the dead ids are empty.
+    act = np.flatnonzero(g.active)
+    dense = np.full(g.n, -1, dtype=np.int64)
+    dense[act] = np.arange(len(act))
+    nbr = dense[g._nbr]
+    wt = g._wt
+    mass = np.bincount(
+        dense[g._src] * k + c2p[g._nbr], weights=wt, minlength=len(act) * k
+    ).reshape(len(act), k)
+    part = c2p[act].tolist()
+    size = g.sizes[act].tolist()
+    w_tot = g.W[act].tolist()
+    begin = g._ptr[act].tolist()
+    end = g._ptr[act + 1].tolist()
     if one_stage:
-        stages = [np.flatnonzero(g.active)]
+        stages = [list(range(len(act)))]
     else:
+        head = cluster_is_head[act]
         stages = [
-            np.flatnonzero(g.active & cluster_is_head),   # Stage 1: leaders
-            np.flatnonzero(g.active & ~cluster_is_head),  # Stage 2: followers
+            np.flatnonzero(head).tolist(),   # Stage 1: leaders
+            np.flatnonzero(~head).tolist(),  # Stage 2: followers
         ]
 
+    cost = np.empty(k)
+    cut = np.empty(k)
+    moves_per_round: list[int] = []
     rounds = 0
     converged = False
     for rounds in range(1, max_rounds + 1):
-        changed = False
+        n_moves = 0
         for stage in stages:
             for start in range(0, len(stage), batch_size):
-                batch = stage[start : start + batch_size]
-                if batch_size > 1:
-                    snap_c2p = c2p.copy()
-                    snap_loads = loads.copy()
-                else:  # sequential: respond to the live profile
-                    snap_c2p = c2p
-                    snap_loads = loads
-                for c in batch:
-                    p = _best_response(g, int(c), snap_c2p, snap_loads, k, delta)
-                    if p != c2p[c]:
-                        loads[c2p[c]] -= g.sizes[c]
-                        loads[p] += g.sizes[c]
-                        c2p[c] = p
-                        changed = True
-        if not changed:
+                # A batch responds to the profile at its start: its
+                # moves are applied once all of it has responded.
+                moves = []
+                for i in stage[start : start + batch_size]:
+                    s = size[i]
+                    p = _respond(
+                        mass[i], loads, part[i], s, w_tot[i], k, delta / k * s, cost, cut
+                    )
+                    if p != part[i]:
+                        moves.append((i, p))
+                for i, q in moves:
+                    p = part[i]
+                    loads[p] -= size[i]
+                    loads[q] += size[i]
+                    part[i] = q
+                    # Neighbours in a CSR row are distinct.
+                    rows, w = nbr[begin[i] : end[i]], wt[begin[i] : end[i]]
+                    mass[rows, p] -= w
+                    mass[rows, q] += w
+                n_moves += len(moves)
+        moves_per_round.append(n_moves)
+        if not n_moves:
             converged = True
             break
+    c2p[act] = part
     welfare = social_welfare(g, c2p, k, delta)
-    return GameResult(c2p=c2p, rounds=rounds, converged=converged, delta=delta, welfare=welfare)
+    return GameResult(
+        c2p=c2p,
+        rounds=rounds,
+        converged=converged,
+        delta=delta,
+        welfare=welfare,
+        moves_per_round=moves_per_round,
+    )

@@ -32,6 +32,7 @@ class S5PStats:
     delta: float = 0.0
     game_rounds: int = 0
     game_converged: bool = False
+    game_moves: int = 0  # Σ GameResult.moves_per_round
     theta_bytes: int = 0
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -93,6 +94,7 @@ def s5p_partition_np(
     stats.delta = game.delta
     stats.game_rounds = game.rounds
     stats.game_converged = game.converged
+    stats.game_moves = sum(game.moves_per_round)
 
     t0 = time.perf_counter()
     part = assign_edges(

@@ -1,19 +1,24 @@
 """Tests for the Stackelberg game (Algorithm 2) and its theory (Section 5.4)."""
+from functools import cache
+
 import numpy as np
 import pytest
 
 from repro.core.clustering import skewness_aware_clustering
 from repro.core.game import (
     ClusterGraph,
+    _best_response,
     delta_max,
     initial_assignment,
     social_welfare,
     stackelberg_game,
+    stackelberg_initial_assignment,
     synchronous_round,
     total_individual_cost,
 )
 from repro.core.bounds import poa_bound
-from repro.core.theta import ExactTheta
+from repro.core.s5p import s5p_partition_np
+from repro.core.theta import CMSTheta, ExactTheta
 from repro.graphgen.catalog import standin_edges
 
 
@@ -173,3 +178,126 @@ class TestTheorem5:
 
     def test_poa_formula(self):
         assert poa_bound(32) == 33.0
+
+
+def _reference_game(n_clusters, sizes, cluster_is_head, theta_pairs, k, *,
+                    batch_size=1, max_rounds=64, one_stage=False):
+    """The round loop :func:`stackelberg_game` replaced: every player
+    rescans its neighbours through :func:`_best_response`. Returns
+    (c2p, rounds, converged, welfare, moves per round)."""
+    g = ClusterGraph(n_clusters, sizes, theta_pairs)
+    delta = delta_max(g, k)
+    if one_stage:
+        c2p = initial_assignment(g.sizes, k)
+    else:
+        c2p = stackelberg_initial_assignment(g, cluster_is_head, k)
+    loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
+    if one_stage:
+        stages = [np.flatnonzero(g.active)]
+    else:
+        stages = [
+            np.flatnonzero(g.active & cluster_is_head),
+            np.flatnonzero(g.active & ~cluster_is_head),
+        ]
+    moves_per_round = []
+    rounds = 0
+    converged = False
+    for rounds in range(1, max_rounds + 1):
+        moves = 0
+        for stage in stages:
+            for start in range(0, len(stage), batch_size):
+                batch = stage[start : start + batch_size]
+                if batch_size > 1:
+                    snap_c2p = c2p.copy()
+                    snap_loads = loads.copy()
+                else:
+                    snap_c2p = c2p
+                    snap_loads = loads
+                for c in batch:
+                    p = _best_response(g, int(c), snap_c2p, snap_loads, k, delta)
+                    if p != c2p[c]:
+                        loads[c2p[c]] -= g.sizes[c]
+                        loads[p] += g.sizes[c]
+                        c2p[c] = p
+                        moves += 1
+        moves_per_round.append(moves)
+        if not moves:
+            converged = True
+            break
+    return c2p, rounds, converged, social_welfare(g, c2p, k, delta), moves_per_round
+
+
+@cache
+def _game_inputs(name, k, use_cms):
+    cl = skewness_aware_clustering(standin_edges(name, "test"), k)
+    th = CMSTheta() if use_cms else ExactTheta()
+    th.add_pairs(*cl.cut_pairs)
+    return cl.n_clusters, cl.cluster_sizes, cl.cluster_is_head, th.pairs()
+
+
+def _assert_matches_reference(args, k, **kw):
+    r = stackelberg_game(*args, k, **kw)
+    c2p, rounds, converged, welfare, moves = _reference_game(*args, k, **kw)
+    np.testing.assert_array_equal(r.c2p, c2p)
+    assert (r.rounds, r.converged, r.welfare, r.moves_per_round) == (
+        rounds, converged, welfare, moves
+    )
+    return r
+
+
+class TestReferenceLoop:
+    """The mass-matrix loop of :func:`stackelberg_game` reproduces the
+    neighbour-rescanning loop bit for bit."""
+
+    @pytest.mark.parametrize("use_cms", [True, False], ids=["cms", "exact"])
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, {"one_stage": True}, {"batch_size": 256}],
+        ids=["two_stage", "one_stage", "batch256"],
+    )
+    @pytest.mark.parametrize("k", [8, 64, 256])
+    @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
+    def test_standins(self, name, k, mode, use_cms):
+        _assert_matches_reference(_game_inputs(name, k, use_cms), k, **mode)
+
+    def test_no_theta_pairs(self):
+        empty = np.zeros(0, dtype=np.int64)
+        sizes = np.array([5.0, 3.0, 0.0, 2.0, 2.0])
+        head = np.array([True, False, False, False, True])
+        for kw in ({}, {"one_stage": True}, {"batch_size": 2}):
+            r = _assert_matches_reference((5, sizes, head, (empty, empty, empty)), 2, **kw)
+            assert r.converged
+
+    def test_empty_active_cluster(self):
+        # Cluster 1 holds no edge but has Θ mass (|c| = 0, W > 0): it
+        # plays, moves no load, and its moves still shift its neighbours'
+        # cut costs. Cluster 5 is dead.
+        sizes = np.array([4.0, 0.0, 3.0, 1.0, 2.0, 0.0])
+        head = np.array([True, False, False, False, True, False])
+        pairs = (np.array([0, 1, 1, 2]), np.array([1, 2, 3, 4]), np.array([3, 5, 2, 1]))
+        for kw in ({}, {"one_stage": True}, {"batch_size": 3}):
+            _assert_matches_reference((6, sizes, head, pairs), 3, **kw)
+
+    def test_k_above_active_clusters(self):
+        args = _game_inputs("IN", 8, False)
+        k = 2 * int(ClusterGraph(args[0], args[1], args[3]).active.sum())
+        for kw in ({}, {"one_stage": True}, {"batch_size": 256}):
+            r = _assert_matches_reference(args, k, **kw)
+            assert r.c2p.max() < k
+
+    def test_empty_stream(self):
+        part, st = s5p_partition_np(np.zeros((0, 2), dtype=np.int64), 8)
+        assert len(part) == 0
+        assert st.game_converged and st.game_moves == 0
+
+    def test_moves_reach_stats(self):
+        e = standin_edges("IN", "test")
+        _, st = s5p_partition_np(e, 8)
+        cl = skewness_aware_clustering(e, 8)
+        th = CMSTheta()
+        th.add_pairs(*cl.cut_pairs)
+        _, rounds, _, _, moves = _reference_game(
+            cl.n_clusters, cl.cluster_sizes, cl.cluster_is_head, th.pairs(), 8
+        )
+        assert st.game_rounds == rounds
+        assert st.game_moves == sum(moves) > 0
