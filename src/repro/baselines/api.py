@@ -65,7 +65,7 @@ def run_partitioner(
 
     The call runs under ``tracemalloc``, so ``wall_s`` includes a cost
     per allocation that depends on code layout as well as on the work:
-    on IN ``bench`` at k=64, S5P's clustering kernel ``allocate_migrate``
+    on IN ``bench`` at k=64, S5P's clustering kernel ``_allocate_migrate``
     runs ≈14× slower traced (0.25–0.30 vs 0.018–0.020 s), ``assign_edges``
     ≈8× and the game ≈6×. The inflation therefore differs by stage and
     by method, and a traced time compares two methods only loosely.

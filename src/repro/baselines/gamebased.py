@@ -35,6 +35,14 @@ class BudgetExceeded(RuntimeError):
     """Raised when a method exceeds its time or memory budget."""
 
 
+def _vertex_csr(edges: np.ndarray, n_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected vertex adjacency: ``nbr[ptr[v] : ptr[v + 1]]`` are v's neighbours."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(src, kind="stable")
+    return dst[order], np.searchsorted(src[order], np.arange(n_v + 1))
+
+
 def rmgp_partition(
     edges: np.ndarray,
     k: int,
@@ -68,12 +76,7 @@ def rmgp_partition(
     g = np.random.default_rng(RMGP_SEED)
     vpart = g.integers(0, k, n_v)
 
-    # vertex adjacency as CSR
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.argsort(src, kind="stable")
-    nbr = dst[order]
-    ptr = np.searchsorted(src[order], np.arange(n_v + 1))
+    nbr, ptr = _vertex_csr(edges, n_v)
 
     w_bal = len(edges) / max(n_v, 1) / k
     for _ in range(RMGP_MAX_ITERS):
@@ -190,12 +193,7 @@ def cvsp_partition(
         return x
 
     admitted = np.zeros(n_v, dtype=bool)
-    # vertex adjacency as CSR for admission
-    srcs = np.concatenate([edges[:, 0], edges[:, 1]])
-    dsts = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.argsort(srcs, kind="stable")
-    nbr = dsts[order]
-    ptr = np.searchsorted(srcs[order], np.arange(n_v + 1))
+    nbr, ptr = _vertex_csr(edges, n_v)
 
     for x in np.argsort(deg, kind="stable"):
         if time.perf_counter() - t0 > time_budget_s:

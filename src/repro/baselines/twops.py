@@ -2,8 +2,8 @@
 
 Phase 1 — streaming clustering à la Hollocou with **precomputed global
 degrees** (Table 1 row "2PS-L-Clustering": allocation + global
-migration), cluster volumes capped: Alg. 1's allocation–migration
-kernel with every edge global.
+migration), cluster volumes capped: Alg. 1's clustering at β = 0,
+where every edge is global, with the cap ⌊κ⌋+1.
 
 Phase 2 — linear-time partitioning: clusters are packed onto partitions
 greedily, largest volume first, each onto the least-loaded partition
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.core.clustering import allocate_migrate, cluster_capacity
+from repro.core.clustering import cluster_capacity, skewness_aware_clustering
 from repro.core.game import initial_assignment
 from repro.core.postprocess import max_load
 from repro.core.stream import degrees_np, iter_chunks
@@ -30,20 +30,21 @@ from repro.core.stream import degrees_np, iter_chunks
 def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:
     """Run both 2PS-L phases; returns the per-edge partition array."""
     n_e = len(edges)
-    degrees = degrees_np(edges)
-    src, dst = edges[:, 0], edges[:, 1]
-    # 2PS-L admits a move when vol + d <= κ, the kernel when vol + d < cap.
+    # 2PS-L admits a move when vol + d <= κ, Alg. 1 when vol + d < cap.
     # Global volumes are integer sums of integer degrees, so the cap
-    # ⌊κ⌋+1 is the same test. The kernel's pre-check (both volumes below
+    # ⌊κ⌋+1 is the same test. Alg. 1's pre-check (both volumes below
     # the cap) refuses no move 2PS-L would make: a cluster above κ never
     # received a migration, so it is a singleton whose vertex has d > κ,
     # and the admission test refuses that vertex anyway.
-    v2c, _, vol, _ = allocate_migrate(
-        src, dst, np.ones(n_e, dtype=bool), degrees,
-        math.floor(cluster_capacity(n_e, k)) + 1,
+    cl = skewness_aware_clustering(
+        edges, k, beta=0.0, kappa=math.floor(cluster_capacity(n_e, k)) + 1
     )
+    v2c, vol = cl.v2c_head, cl.cluster_volume
+    del cl
     c2p = initial_assignment(vol, k)
     # The lower-degree endpoint's cluster partition is tried first; u wins ties.
+    degrees = degrees_np(edges)
+    src, dst = edges[:, 0], edges[:, 1]
     swap = degrees[src] > degrees[dst]
     first = c2p[v2c[src]]
     second = c2p[v2c[dst]]

@@ -5,12 +5,14 @@ A single sequential pass over the edge stream. Edges are classified as
 clustered with **global**-degree volumes, tail edges with **local**
 (running) degree volumes, both capped at κ via an allocation–migration
 scheme. Head vertices may appear in both tables (Definition 1).
-:func:`allocate_migrate` is that scheme, shared with the 2PS-L and CLUGP
-baselines, which differ only in which edges are global and in CLUGP's
-splitting (the paper's Table 1).
 
-The bounded variant S5P-B (Section 5.3) uses global degrees everywhere
-and drops the κ constraint (pass ``kappa=inf, use_local_degrees=False``).
+:func:`skewness_aware_clustering` is the one entry point, and each row of
+the paper's Table 1 is a set of its arguments. ξ = β·2|E|/|V| covers both
+ends: β = 0 makes every edge head (global), which with the cap ⌊κ⌋+1 is
+2PS-L's clustering; β = ∞ makes every edge tail (local), which is Holl's
+clustering, and CLUGP's with ``split=True``. S5P is β = 1; the bounded
+variant S5P-B (Section 5.3) uses global degrees everywhere and drops the
+κ constraint (pass ``kappa=inf, use_local_degrees=False``).
 """
 from __future__ import annotations
 
@@ -86,7 +88,7 @@ def cluster_capacity(n_edges: int, k: int) -> float:
     return 2.0 * n_edges / k
 
 
-def allocate_migrate(
+def _allocate_migrate(
     src: np.ndarray,
     dst: np.ndarray,
     edge_global: np.ndarray,
@@ -175,12 +177,14 @@ def skewness_aware_clustering(
     beta: float = 1.0,
     kappa: float | None = None,
     use_local_degrees: bool = True,
+    split: bool = False,
 ) -> ClusteringResult:
     """Run Algorithm 1 over an arrival-ordered ``(m, 2)`` edge array.
 
     Global degrees are precomputed in one pass, as in 2PS-L;
     ``use_local_degrees=False`` selects the S5P-B variant for tail
-    volumes. Returns per-vertex tables and per-edge cluster views.
+    volumes and ``split`` CLUGP's splitting of full tail clusters.
+    Returns per-vertex tables and per-edge cluster views.
     """
     n_v = int(edges.max()) + 1 if len(edges) else 0
     n_e = len(edges)
@@ -192,8 +196,8 @@ def skewness_aware_clustering(
     head_v = degrees > xi
     src, dst = edges[:, 0], edges[:, 1]
     eh = head_v[src] & head_v[dst]
-    v2c_h, v2c_t, vol, is_head_c = allocate_migrate(
-        src, dst, eh, degrees, kappa, tail_moves_global=not use_local_degrees
+    v2c_h, v2c_t, vol, is_head_c = _allocate_migrate(
+        src, dst, eh, degrees, kappa, split=split, tail_moves_global=not use_local_degrees
     )
     n_clusters = len(vol)
     edge_cu = np.where(eh, v2c_h[src], v2c_t[src])

@@ -23,14 +23,13 @@ def rmat_edges(
     b: float = 0.19,
     c: float = 0.19,
     seed: int = 0,
-    drop_self_loops: bool = True,
 ) -> np.ndarray:
     """Generate an R-MAT edge list over ``2**scale`` vertex ids.
 
     Returns an ``(m, 2)`` int64 array of (src, dst). Duplicate edges are
-    kept (a property of R-MAT streams); self loops are dropped by
-    default since none of the paper's partitioning metrics are defined
-    on them. Deterministic in ``seed``.
+    kept (a property of R-MAT streams); self loops are dropped since
+    none of the paper's partitioning metrics are defined on them.
+    Deterministic in ``seed``.
     """
     if not 0 < a + b + c < 1:
         raise ValueError("quadrant probabilities must satisfy 0 < a+b+c < 1")
@@ -47,6 +46,4 @@ def rmat_edges(
         src = (src << 1) | (q >> 1)
         dst = (dst << 1) | (q & 1)
     edges = np.stack([src, dst], axis=1)
-    if drop_self_loops:
-        edges = edges[edges[:, 0] != edges[:, 1]]
-    return edges
+    return edges[edges[:, 0] != edges[:, 1]]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.clustering import (
-    allocate_migrate,
     cluster_capacity,
     head_threshold,
     skewness_aware_clustering,
@@ -115,6 +114,22 @@ class TestInvariants:
         assert cl.n_clusters == 0
         assert cl.n_edges == 0
 
+    def test_beta_extremes_make_every_edge_one_kind(self, lj_test):
+        # β = 0 is 2PS-L's clustering (every edge global), β = ∞ Holl's
+        # and CLUGP's (every edge local); β = 1 (S5P) has both kinds.
+        cl = skewness_aware_clustering(lj_test, 8, beta=0.0)
+        assert cl.edge_is_head.all() and cl.cluster_is_head.all()
+        assert (cl.v2c_tail == -1).all()
+        cl = skewness_aware_clustering(lj_test, 8, beta=np.inf)
+        assert not cl.edge_is_head.any() and not cl.cluster_is_head.any()
+        assert (cl.v2c_head == -1).all()
+        cl = skewness_aware_clustering(lj_test, 8, beta=1.0)
+        assert 0 < cl.edge_is_head.sum() < len(lj_test)
+        assert 0 < cl.cluster_is_head.sum() < cl.n_clusters
+        # ξ = ∞ · 0 is nan on the empty stream; nothing reads it.
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert skewness_aware_clustering(empty, 4, beta=np.inf).n_clusters == 0
+
 
 class TestMigration:
     def test_migration_consolidates_chain(self):
@@ -145,11 +160,11 @@ class TestMigration:
     def test_inclusive_cap_moves_at_exact_capacity(self):
         # Edge (0, 1) offers vertex 0 (d=2) to cluster {1} (vol 1):
         # vol + d == κ == 3. Alg. 1 admits vol + d < κ; 2PS-L admits
-        # vol + d <= κ, which it passes to the kernel as the cap ⌊κ⌋+1.
+        # vol + d <= κ, which it passes to Alg. 1 (β = 0, every edge
+        # global) as the cap ⌊κ⌋+1.
         e = np.array([[0, 1], [0, 2]], dtype=np.int64)
-        args = (e[:, 0], e[:, 1], np.ones(len(e), dtype=bool), degrees_np(e))
-        alg1, *_ = allocate_migrate(*args, 3.0)
-        twops, *_ = allocate_migrate(*args, math.floor(3.0) + 1)
+        alg1 = skewness_aware_clustering(e, 2, beta=0.0, kappa=3.0).v2c_head
+        twops = skewness_aware_clustering(e, 2, beta=0.0, kappa=math.floor(3.0) + 1).v2c_head
         assert alg1.tolist() == [0, 1, 2]
         assert twops.tolist() == [1, 1, 2]
 
@@ -159,9 +174,10 @@ class TestMigration:
         # restarts each endpoint in a new cluster of volume ld = 2 and
         # leaves the old cluster's volume as it was.
         e = np.array([[0, 1], [0, 1]], dtype=np.int64)
-        args = (e[:, 0], e[:, 1], np.zeros(len(e), dtype=bool), degrees_np(e), 3.0)
-        _, plain, plain_vol, _ = allocate_migrate(*args)
-        _, split, split_vol, is_global = allocate_migrate(*args, split=True)
+        cl = skewness_aware_clustering(e, 2, beta=np.inf, kappa=3.0)
+        plain, plain_vol = cl.v2c_tail, cl.cluster_volume
+        cl = skewness_aware_clustering(e, 2, beta=np.inf, kappa=3.0, split=True)
+        split, split_vol, is_global = cl.v2c_tail, cl.cluster_volume, cl.cluster_is_head
         assert plain.tolist() == [1, 1] and plain_vol.tolist() == [0.0, 4.0]
         assert split.tolist() == [2, 3]
         assert split_vol.tolist() == [0.0, 4.0, 2.0, 2.0]
