@@ -34,7 +34,7 @@ def gas_table(
         edges_df = edges_to_df(spark, standin_edges(name, preset))
         edges_df.cache().count()
         for meth in METHODS:
-            assign, stats = run_partitioner_spark(spark, edges_df, meth, k)
+            assign, _ = run_partitioner_spark(spark, edges_df, meth, k)
             assign.cache().count()
             rows.append(
                 {
@@ -42,7 +42,6 @@ def gas_table(
                     "method": meth,
                     "rf": round(replication_factor(edges_df, assign), 3),
                     "comm_messages": communication_cost(edges_df, assign, n_iters),
-                    "partition_time_s": round(stats.wall_s, 2),
                 }
             )
             assign.unpersist()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.baselines.api import run_partitioner
+from repro.baselines.api import PARTITIONERS
 from repro.core.optimal import optimal_partition
 from repro.graphgen.tiny import optimality_graphs
 from repro.metrics import replication_factor_np
@@ -31,7 +31,7 @@ def table5(k: int = 4) -> pd.DataFrame:
         opt_rf, _ = optimal_partition(edges, k)
         paper_opt, paper_methods = PAPER_TABLE5[gname]
         for meth in METHODS:
-            part, _ = run_partitioner(edges, meth, k)
+            part = PARTITIONERS[meth](edges, k)
             rf = replication_factor_np(edges, part, k)
             p = paper_methods[meth]
             rows.append(

@@ -2,13 +2,13 @@
 
 Every partitioner has the numpy signature ``fn(edges, k, **kw) ->
 per-edge partition array``; the registry maps the names used in the
-paper's tables onto them. :func:`run_partitioner` adds wall-clock and
-peak-memory measurement (tracemalloc) — the Time/Mem columns of
-Table 4 — and the Spark wrapper returns an assignment DataFrame.
+paper's tables onto them. :func:`run_partitioner` adds a peak-memory
+measurement (tracemalloc), the Mem column of Table 4, and the Spark
+wrapper returns an assignment DataFrame. Times are taken from plain
+registry calls, outside ``tracemalloc``.
 """
 from __future__ import annotations
 
-import time
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
@@ -50,36 +50,33 @@ PARTITIONERS: dict[str, Callable[..., np.ndarray]] = {
 
 @dataclass
 class RunStats:
-    """Measured cost of one partitioner run (Table 4 columns)."""
+    """Measured memory of one partitioner run (Table 4's Mem column)."""
 
     name: str
     k: int
-    wall_s: float
     peak_mem_mb: float
 
 
 def run_partitioner(
     edges: np.ndarray, name: str, k: int, **kwargs
 ) -> tuple[np.ndarray, RunStats]:
-    """Run a registered partitioner with timing + peak-memory tracking.
+    """Run a registered partitioner and measure its peak memory.
 
-    The call runs under ``tracemalloc``, so ``wall_s`` includes a cost
-    per allocation that depends on code layout as well as on the work:
-    on IN ``bench`` at k=64, S5P's clustering kernel ``_allocate_migrate``
-    runs ≈14× slower traced (0.25–0.30 vs 0.018–0.020 s), ``assign_edges``
-    ≈8× and the game ≈6×. The inflation therefore differs by stage and
-    by method, and a traced time compares two methods only loosely.
+    The call runs under ``tracemalloc``, which adds a cost per allocation
+    that depends on code layout as well as on the work: on IN ``bench``
+    at k=64, S5P's clustering kernel ``_allocate_migrate`` runs ≈14×
+    slower traced (0.25–0.30 vs 0.018–0.020 s), ``assign_edges`` ≈8× and
+    the game ≈6×. So time a partitioner by calling ``PARTITIONERS[name]``
+    directly, not through this wrapper.
     """
     fn = PARTITIONERS[name]
     tracemalloc.start()
-    t0 = time.perf_counter()
     try:
         part = fn(edges, k, **kwargs)
     finally:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    wall = time.perf_counter() - t0
-    return part, RunStats(name=name, k=k, wall_s=wall, peak_mem_mb=peak / 2**20)
+    return part, RunStats(name=name, k=k, peak_mem_mb=peak / 2**20)
 
 
 def run_partitioner_spark(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,11 @@ from .stream import degrees_np, iter_chunks
 
 @dataclass
 class ClusteringResult:
-    """Output of Algorithm 1 plus the per-edge cluster views the game needs."""
+    """Output of Algorithm 1; the per-edge cluster views are built on first read.
+
+    2PS-L reads only the vertex tables and volumes, so it never pays
+    for the views that the game and Alg. 3 read.
+    """
 
     n_vertices: int
     n_edges: int
@@ -35,17 +40,30 @@ class ClusteringResult:
     v2c_head: np.ndarray  # vertex -> head-cluster id, -1 if none
     v2c_tail: np.ndarray  # vertex -> tail-cluster id, -1 if none
     edge_is_head: np.ndarray  # bool per edge
-    edge_cu: np.ndarray  # per-edge cluster of src (type-matched table)
-    edge_cv: np.ndarray  # per-edge cluster of dst
     n_clusters: int
     cluster_is_head: np.ndarray  # bool per cluster id
     cluster_volume: np.ndarray  # final vol(·) per cluster id
     edges_src: np.ndarray  # view of the stream's src column (arrival order)
     edges_dst: np.ndarray  # view of the stream's dst column
-    # |c| per cluster id: each edge is *owned* by its src endpoint's
-    # cluster, which partitions E exactly (Σ|c_i| = |E|) as the cost
-    # functions require.
-    cluster_sizes: np.ndarray
+
+    @cached_property
+    def edge_cu(self) -> np.ndarray:
+        """Per-edge cluster of src, from the table its edge type uses."""
+        return np.where(self.edge_is_head, self.v2c_head[self.edges_src], self.v2c_tail[self.edges_src])
+
+    @cached_property
+    def edge_cv(self) -> np.ndarray:
+        """Per-edge cluster of dst, from the table its edge type uses."""
+        return np.where(self.edge_is_head, self.v2c_head[self.edges_dst], self.v2c_tail[self.edges_dst])
+
+    @cached_property
+    def cluster_sizes(self) -> np.ndarray:
+        """|c| per cluster id.
+
+        Each edge is *owned* by its src endpoint's cluster, which
+        partitions E exactly (Σ|c_i| = |E|) as the cost functions require.
+        """
+        return np.bincount(self.edge_cu, minlength=self.n_clusters).astype(np.int64)
 
     def cut_pair_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Cluster pairs spanned by edges, under *vertex membership*.
@@ -184,7 +202,7 @@ def skewness_aware_clustering(
     Global degrees are precomputed in one pass, as in 2PS-L;
     ``use_local_degrees=False`` selects the S5P-B variant for tail
     volumes and ``split`` CLUGP's splitting of full tail clusters.
-    Returns per-vertex tables and per-edge cluster views.
+    Returns per-vertex tables; the per-edge views are built on demand.
     """
     n_v = int(edges.max()) + 1 if len(edges) else 0
     n_e = len(edges)
@@ -199,9 +217,6 @@ def skewness_aware_clustering(
     v2c_h, v2c_t, vol, is_head_c = _allocate_migrate(
         src, dst, eh, degrees, kappa, split=split, tail_moves_global=not use_local_degrees
     )
-    n_clusters = len(vol)
-    edge_cu = np.where(eh, v2c_h[src], v2c_t[src])
-    edge_cv = np.where(eh, v2c_h[dst], v2c_t[dst])
     return ClusteringResult(
         n_vertices=n_v,
         n_edges=n_e,
@@ -210,12 +225,9 @@ def skewness_aware_clustering(
         v2c_head=v2c_h,
         v2c_tail=v2c_t,
         edge_is_head=eh,
-        edge_cu=edge_cu,
-        edge_cv=edge_cv,
-        n_clusters=n_clusters,
+        n_clusters=len(vol),
         cluster_is_head=is_head_c,
         cluster_volume=vol,
         edges_src=src,
         edges_dst=dst,
-        cluster_sizes=np.bincount(edge_cu, minlength=n_clusters).astype(np.int64),
     )

@@ -76,6 +76,12 @@ def standin_shape(name: str, preset: str = "full") -> tuple[int, int]:
     return n_v, n_e
 
 
+def standin_seed(name: str) -> int:
+    """The seed :func:`standin_edges` uses for ``name`` when given none."""
+    # str hash() is salted per process; derive a stable per-name seed.
+    return int.from_bytes(name.encode(), "little") % (2**31)
+
+
 def standin_edges(name: str, preset: str = "full", seed: int | None = None) -> np.ndarray:
     """Deterministic edge stream (numpy ``(m, 2)`` int64) for a catalog graph.
 
@@ -83,8 +89,7 @@ def standin_edges(name: str, preset: str = "full", seed: int | None = None) -> n
     strong host-like locality. Synthetic stand-ins: R-MAT.
     """
     if seed is None:
-        # str hash() is salted per process; derive a stable per-name seed.
-        seed = int.from_bytes(name.encode(), "little") % (2**31)
+        seed = standin_seed(name)
     n_v, n_e = standin_shape(name, preset)
     if name in RMAT_GRAPHS:
         scale = RMAT_GRAPHS[name]["scale"]

@@ -71,7 +71,7 @@ class TestValidity:
     def test_run_stats(self, lj):
         _, st = run_partitioner(lj, "DBH", 8)
         assert st.name == "DBH" and st.k == 8
-        assert st.wall_s >= 0 and st.peak_mem_mb > 0
+        assert st.peak_mem_mb > 0
 
 
 class TestHashing:

@@ -1,16 +1,19 @@
 """Cross-module integration tests: the table harnesses at test scale."""
+from dataclasses import replace
+
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.baselines.api import run_partitioner, run_partitioner_spark
+from repro.baselines.api import PARTITIONERS, run_partitioner, run_partitioner_spark
 from repro.core.stream import edges_to_df
 from repro.graphgen.catalog import ALL_REAL, ALL_SYNTH, standin_edges
 from repro.metrics import load_balance, replication_factor, replication_factor_np
 
 from jobs.table1_features import feature_matrix
 from jobs.table2_datasets import dataset_stats
-from jobs.table3_rf import table3
-from jobs.table4_games import table4
+from jobs.assemble_experiments import EXPERIMENTS, RESULTS, blocks, marked
+from jobs.sweep import TABLE3, TABLE4, measure, sweep
 from jobs.table5_optimality import table5
 
 
@@ -36,25 +39,45 @@ class TestTable2:
 
 class TestTable3:
     def test_small_sweep_shape(self, spark):
-        t = table3(spark, names=["IN"], ks=[8], preset="test")
-        assert len(t) == 4  # 4 partitioners
-        assert set(t["partitioner"]) == {"CLUGP", "2PS-L", "HDRF", "S5P"}
+        t = sweep(spark, (replace(TABLE3, graphs=("IN",), ks=(8,), preset="test"),))
+        assert len(t) == 5  # 4 partitioners + S5P with exact Θ
+        assert set(t["method"]) == {"CLUGP", "2PS-L", "HDRF", "S5P"}
         assert (t["rf"] >= 1).all()
         assert (t["balance"] <= 1.6).all()
+        assert t["mem_mb"].isna().all()  # Table 3 reports no memory
 
 
 class TestTable4:
     def test_small_games_table(self, spark):
-        t = table4(spark, names=["LJ"], k=8, preset="test", time_budget_s=120)
+        t = sweep(spark, (replace(TABLE4, graphs=("LJ",), ks=(8,), preset="test", time_budget_s=120),))
         assert set(t["method"]) == {"RMGP", "MDSGP", "CVSP", "CLUGP", "S5P"}
         done = t[t["rf"].notna()]
         assert (done["time_s"] >= 0).all()
         assert (done["mem_mb"] > 0).all()
 
     def test_budget_marks_missing(self, spark):
-        t = table4(spark, names=["LJ"], k=8, preset="test", time_budget_s=0.0)
+        t = sweep(spark, (replace(TABLE4, graphs=("LJ",), ks=(8,), preset="test", time_budget_s=0.0),))
         rmgp = t[t["method"] == "RMGP"].iloc[0]
         assert np.isnan(rmgp["rf"])
+
+
+class TestSweep:
+    def test_memory_pass_must_match(self, monkeypatch):
+        calls = []
+
+        def drifting(edges, k):
+            calls.append(None)
+            return np.full(len(edges), len(calls) % k, dtype=np.int64)
+
+        monkeypatch.setitem(PARTITIONERS, "Drifting", drifting)
+        e = standin_edges("LJ", "test")
+        with pytest.raises(RuntimeError, match="memory pass"):
+            measure(e, "Drifting", 8, {}, measure_memory=True)
+
+    def test_experiments_tables_are_rendered_from_results(self):
+        text = EXPERIMENTS.read_text()
+        for name, body in blocks(pd.read_csv(RESULTS)).items():
+            assert marked(text, name).group(2) == body, name
 
 
 class TestTable5:
