@@ -207,7 +207,8 @@ def skewness_aware_clustering(
     n_v = int(edges.max()) + 1 if len(edges) else 0
     n_e = len(edges)
     degrees = degrees_np(edges, n_v)
-    xi = head_threshold(n_v, n_e, beta)
+    # |V| counts the vertices with an edge; ids without one only size tables
+    xi = head_threshold(int(np.count_nonzero(degrees)), n_e, beta)
     if kappa is None:
         kappa = cluster_capacity(n_e, k)
 

@@ -6,8 +6,9 @@ from the paper's |V|/|E| ratio so the average degree — which fixes the
 head/tail threshold ξ = β·2|E|/|V| — is preserved at every preset.
 
 Presets scale the full stand-in: ``test`` (tiny, unit tests), ``bench``
-(the Table 4 job, perfbench's Spark workload), ``full`` (jobs that
-regenerate the tables).
+(Table 4, perfbench's Spark workload), ``full`` (Tables 2 and 3). The
+Table-5 graphs G_alpha, G_beta and G_gamma load by name too; their
+(|V|, |E|) is the paper's at every preset.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .powerlaw import community_powerlaw
 from .rmat import rmat_edges
+from .tiny import OPTIMALITY_GRAPHS, search_rmat
 
 #: Paper's Table 2, transcribed. rho is the regression skewness; rho1/rho2
 #: Pearson's; rho3 planarization (|E| - (3|V| - 6)).
@@ -78,6 +80,8 @@ def standin_shape(name: str, preset: str = "full") -> tuple[int, int]:
 
 def standin_seed(name: str) -> int:
     """The seed :func:`standin_edges` uses for ``name`` when given none."""
+    if name in OPTIMALITY_GRAPHS:
+        return OPTIMALITY_GRAPHS[name][3]
     # str hash() is salted per process; derive a stable per-name seed.
     return int.from_bytes(name.encode(), "little") % (2**31)
 
@@ -86,10 +90,14 @@ def standin_edges(name: str, preset: str = "full", seed: int | None = None) -> n
     """Deterministic edge stream (numpy ``(m, 2)`` int64) for a catalog graph.
 
     Social stand-ins: weak communities + global hubs. Web stand-ins:
-    strong host-like locality. Synthetic stand-ins: R-MAT.
+    strong host-like locality. Synthetic stand-ins: R-MAT. Table-5
+    graphs: the first R-MAT instance of their shape from ``seed`` on.
     """
     if seed is None:
         seed = standin_seed(name)
+    if name in OPTIMALITY_GRAPHS:
+        n_v, n_e, scale, _ = OPTIMALITY_GRAPHS[name]
+        return search_rmat(n_v, n_e, scale, seed)
     n_v, n_e = standin_shape(name, preset)
     if name in RMAT_GRAPHS:
         scale = RMAT_GRAPHS[name]["scale"]

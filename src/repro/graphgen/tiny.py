@@ -5,7 +5,8 @@ Table 5 evaluates optimality on three tiny R-MAT graphs with
 edge lists, so we regenerate R-MAT graphs with exactly those shapes
 (deduplicated, searching over seeds deterministically) — the protocol
 (exact optimum by enumeration vs. streaming partitioners at k=4) is
-what is reproduced, not the precise instances.
+what is reproduced, not the precise instances. They load by name
+through ``catalog.standin_edges``.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ def toy_graph() -> np.ndarray:
     )
 
 
-def _search_rmat(n_v: int, n_e: int, scale: int, seed0: int) -> np.ndarray:
+def search_rmat(n_v: int, n_e: int, scale: int, seed0: int) -> np.ndarray:
     """Find a deduplicated R-MAT graph with exactly (n_v, n_e).
 
     Deterministic: scans seeds from ``seed0`` upward, relabels vertices
@@ -68,10 +69,9 @@ def _search_rmat(n_v: int, n_e: int, scale: int, seed0: int) -> np.ndarray:
     raise RuntimeError(f"no R-MAT instance with |V|={n_v}, |E|={n_e} found")
 
 
-def optimality_graphs() -> dict[str, np.ndarray]:
-    """The three Table-5 graphs: G_alpha(7,12), G_beta(8,15), G_gamma(10,12)."""
-    return {
-        "G_alpha": _search_rmat(7, 12, scale=3, seed0=0),
-        "G_beta": _search_rmat(8, 15, scale=3, seed0=100),
-        "G_gamma": _search_rmat(10, 12, scale=4, seed0=200),
-    }
+#: The Table-5 graphs: name -> (|V|, |E|, R-MAT scale, first seed searched).
+OPTIMALITY_GRAPHS: dict[str, tuple[int, int, int, int]] = {
+    "G_alpha": (7, 12, 3, 0),
+    "G_beta": (8, 15, 3, 100),
+    "G_gamma": (10, 12, 4, 200),
+}

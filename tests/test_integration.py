@@ -1,4 +1,5 @@
 """Cross-module integration tests: the table harnesses at test scale."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,36 +11,33 @@ from repro.core.stream import edges_to_df
 from repro.graphgen.catalog import ALL_REAL, ALL_SYNTH, standin_edges
 from repro.metrics import load_balance, replication_factor, replication_factor_np
 
-from jobs.table1_features import feature_matrix
-from jobs.table2_datasets import dataset_stats
+import jobs.sweep
 from jobs.assemble_experiments import EXPERIMENTS, RESULTS, blocks, marked
-from jobs.sweep import TABLE3, TABLE4, measure, sweep
-from jobs.table5_optimality import table5
+from jobs.sweep import TABLE2, TABLE3, TABLE4, TABLE5, measure, sweep
 
 
-class TestTable1:
-    def test_matrix_matches_paper(self):
-        t = feature_matrix()
-        rows = {r["algorithm"]: r for r in t}
-        assert rows["S5P-Clustering"]["skewness_aware"]
-        assert not rows["Holl"]["skewness_aware"]
-        assert rows["2PS-L-Clustering"]["migration"] == "global"
-        assert rows["CLUGP-Clustering"]["migration"] == "local"
-        assert rows["S5P-Clustering"]["migration"] == "local/global"
-        assert all(r["allocation"] for r in t)
+@pytest.fixture
+def single_calls(monkeypatch):
+    """Time each cell by its minimum number of calls, however short."""
+    monkeypatch.setattr(jobs.sweep, "MIN_TIME_S", 0.0)
 
 
 class TestTable2:
     def test_stats_for_two_graphs(self, spark):
-        t = dataset_stats(spark, names=["LJ", "G1"], preset="test")
+        t = sweep(spark, (replace(TABLE2, graphs=("LJ", "G1"), preset="test"),))
+        assert len(t) == 2  # one skewness row per graph, no partition cells
+        assert t["method"].isna().all()
         assert set(t["graph"]) == {"LJ", "G1"}
         assert (t["n_edges"] > 0).all()
         assert (t["rho"] > 0).all()
 
 
+@pytest.mark.usefixtures("single_calls")
 class TestTable3:
     def test_small_sweep_shape(self, spark):
         t = sweep(spark, (replace(TABLE3, graphs=("IN",), ks=(8,), preset="test"),))
+        assert t["method"].isna().sum() == 1  # the graph's skewness row
+        t = t[t["method"].notna()]
         assert len(t) == 5  # 4 partitioners + S5P with exact Θ
         assert set(t["method"]) == {"CLUGP", "2PS-L", "HDRF", "S5P"}
         assert (t["rf"] >= 1).all()
@@ -47,10 +45,11 @@ class TestTable3:
         assert t["mem_mb"].isna().all()  # Table 3 reports no memory
 
 
+@pytest.mark.usefixtures("single_calls")
 class TestTable4:
     def test_small_games_table(self, spark):
         t = sweep(spark, (replace(TABLE4, graphs=("LJ",), ks=(8,), preset="test", time_budget_s=120),))
-        assert set(t["method"]) == {"RMGP", "MDSGP", "CVSP", "CLUGP", "S5P"}
+        assert set(t["method"].dropna()) == {"RMGP", "MDSGP", "CVSP", "CLUGP", "S5P"}
         done = t[t["rf"].notna()]
         assert (done["time_s"] >= 0).all()
         assert (done["mem_mb"] > 0).all()
@@ -62,6 +61,7 @@ class TestTable4:
 
 
 class TestSweep:
+    @pytest.mark.usefixtures("single_calls")
     def test_memory_pass_must_match(self, monkeypatch):
         calls = []
 
@@ -74,22 +74,53 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="memory pass"):
             measure(e, "Drifting", 8, {}, measure_memory=True)
 
+    def test_short_cells_repeat_until_min_time(self, monkeypatch):
+        clock = itertools.count(0.0, 0.125)  # every call takes 0.125 s
+        monkeypatch.setattr(jobs.sweep.time, "perf_counter", lambda: next(clock))
+        calls = []
+
+        def counted(edges, k):
+            calls.append(None)
+            return np.zeros(len(edges), dtype=np.int64)
+
+        monkeypatch.setitem(PARTITIONERS, "Counted", counted)
+        e = np.zeros((3, 2), dtype=np.int64)
+        measure(e, "Counted", 2, {}, measure_memory=False)
+        assert len(calls) == jobs.sweep.MIN_TIME_S / 0.125
+        calls.clear()
+        monkeypatch.setattr(jobs.sweep, "MIN_TIME_S", 0.0)
+        measure(e, "Counted", 2, {}, measure_memory=False)
+        assert len(calls) == jobs.sweep.MIN_CALLS
+
     def test_experiments_tables_are_rendered_from_results(self):
         text = EXPERIMENTS.read_text()
         for name, body in blocks(pd.read_csv(RESULTS)).items():
             assert marked(text, name).group(2) == body, name
 
 
-class TestTable5:
-    def test_optimality_table(self):
-        t = table5()
-        assert len(t) == 9  # 3 graphs × 3 partitioners
-        assert (t["rf"] >= t["opt"] - 1e-9).all()
-        assert (t["alpha"] >= 1.0 - 1e-9).all()
+def alphas(t: pd.DataFrame) -> pd.DataFrame:
+    """Table 5's α = RF/Opt, one row per graph, one column per method."""
+    rf = t[t["method"].notna()].pivot(index="graph", columns="method", values="rf")
+    return rf.drop(columns="Opt").div(rf["Opt"], axis=0)
 
-    def test_s5p_alpha_best_or_close(self):
-        t = table5()
-        by_graph = t.pivot(index="graph", columns="partitioner", values="alpha")
+
+@pytest.fixture(scope="module")
+def table5(spark):
+    """One Table-5 sweep, timed by single calls, for the tests below."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jobs.sweep, "MIN_TIME_S", 0.0)
+        return sweep(spark, (TABLE5,))
+
+
+class TestTable5:
+    def test_optimality_table(self, table5):
+        cells = table5[table5["method"].notna()]
+        assert len(cells) == 12  # 3 graphs × (the optimum + 3 partitioners)
+        assert set(table5.loc[table5["method"].isna(), "n_edges"]) == {12, 15}
+        assert (alphas(table5) >= 1.0 - 1e-9).all().all()  # no method beats Opt
+
+    def test_s5p_alpha_best_or_close(self, table5):
+        by_graph = alphas(table5)
         # S5P's approximation ratio is the best (or ties) on most graphs
         wins = (by_graph["S5P"] <= by_graph.min(axis=1) + 0.15).sum()
         assert wins >= 2

@@ -4,7 +4,8 @@ import pytest
 
 from repro.baselines.api import run_partitioner
 from repro.core.optimal import optimal_partition
-from repro.graphgen.tiny import optimality_graphs, toy_graph
+from repro.graphgen.catalog import standin_edges
+from repro.graphgen.tiny import OPTIMALITY_GRAPHS, toy_graph
 from repro.metrics import replication_factor_np
 
 
@@ -41,20 +42,20 @@ class TestOptimalPartition:
         assert rf_bb == pytest.approx(best)
 
     def test_respects_load_cap(self):
-        gs = optimality_graphs()
-        for e in gs.values():
+        for name in OPTIMALITY_GRAPHS:
+            e = standin_edges(name)
             rf, assign = optimal_partition(e, 4)
             cap = int(np.ceil(len(e) / 4))
             assert np.bincount(assign, minlength=4).max() <= cap
 
     def test_assignment_achieves_reported_rf(self):
-        e = optimality_graphs()["G_alpha"]
+        e = standin_edges("G_alpha")
         rf, assign = optimal_partition(e, 4)
         assert replication_factor_np(e, assign, 4) == pytest.approx(rf)
 
     @pytest.mark.parametrize("gname", ["G_alpha", "G_beta", "G_gamma"])
     def test_no_partitioner_beats_optimum(self, gname):
-        e = optimality_graphs()[gname]
+        e = standin_edges(gname)
         rf_opt, _ = optimal_partition(e, 4)
         for meth in ["S5P", "CLUGP", "2PS-L", "HDRF"]:
             part, _ = run_partitioner(e, meth, 4)

@@ -200,6 +200,15 @@ class TestRobustness:
         assert 0 <= part.min() and part.max() < 4
         assert peak < 50 * 2**20
 
+    @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
+    def test_unused_ids_do_not_move_the_partition(self, name):
+        # ξ = β·2|E|/|V| counts the vertices with an edge, so ids that
+        # no edge uses do not lower it.
+        e = standin_edges(name, "test")
+        part, _ = s5p_partition_np(e, 8)
+        spread, _ = s5p_partition_np(3 * e + 1, 8)
+        np.testing.assert_array_equal(part, spread)
+
 
 class TestSparkEntry:
     def test_assignment_dataframe(self, spark, lj):
