@@ -80,8 +80,8 @@ class ClusteringResult:
         """
         tables = (self.v2c_head, self.v2c_tail)
         for tu in tables:
+            pu = tu[self.edges_src]
             for tv in tables:
-                pu = tu[self.edges_src]
                 pv = tv[self.edges_dst]
                 valid = (pu >= 0) & (pv >= 0) & (pu != pv)
                 yield pu[valid], pv[valid]

@@ -4,7 +4,8 @@ During the edge traversal every cross-cluster edge posts its unordered
 cluster pair; the game later retrieves counts per pair. There is one
 store, :class:`ExactTheta`: the sorted distinct pair codes (the
 strategy-set structure) with aligned exact counts (the paper's
-red-black-tree baseline; here a vectorized unique-merge, same
+red-black-tree baseline; here each batch is reduced to its distinct
+pairs and their counts, which are merged into the sorted arrays; same
 semantics). :class:`CMSTheta` (Section 4.4) is that store plus a
 Count-Min Sketch: each batch posts one (pair, count) entry per distinct
 pair to the sketch, and counts are read back from the sketch. The sketch
@@ -23,9 +24,9 @@ _SHIFT = np.int64(32)
 
 def pair_codes(ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
     """Encode unordered cluster pairs as int64 ``min<<32 | max``."""
-    lo = np.minimum(ci, cj).astype(np.int64)
-    hi = np.maximum(ci, cj).astype(np.int64)
-    return (lo << _SHIFT) | hi
+    codes = np.minimum(ci, cj).astype(np.int64, copy=False) << _SHIFT
+    codes |= np.maximum(ci, cj)
+    return codes
 
 
 def decode_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,35 +44,25 @@ class ExactTheta:
     def add_pairs(self, ci: np.ndarray, cj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Accumulate one count per (c_i, c_j) pair (vectorized).
 
-        Returns the batch's distinct pair codes and their counts in it.
+        The batch is reduced to its distinct pair codes and their counts,
+        which are merged into the stored sorted arrays and returned.
         """
-        n_old = len(self._codes)
-        uniq, inv = np.unique(
-            np.concatenate([self._codes, pair_codes(ci, cj)]), return_inverse=True
-        )
-        added = np.bincount(inv[n_old:], minlength=len(uniq)).astype(np.int64)
-        counts = added.copy()
-        counts[inv[:n_old]] += self._counts
-        self._codes, self._counts = uniq, counts
-        posted = added > 0
-        return uniq[posted], added[posted]
+        codes, counts = np.unique(pair_codes(ci, cj), return_counts=True)
+        merged = np.union1d(self._codes, codes)
+        total = np.zeros(len(merged), dtype=np.int64)
+        total[np.searchsorted(merged, self._codes)] = self._counts
+        total[np.searchsorted(merged, codes)] += counts
+        self._codes, self._counts = merged, total
+        return codes, counts
 
-    def _weights(self, idx: slice) -> np.ndarray:
-        """Θ counts of the stored pairs at ``idx`` (a fresh array)."""
-        return self._counts[idx].copy()
+    def _weights(self) -> np.ndarray:
+        """Θ counts of the stored pairs (a fresh array)."""
+        return self._counts.copy()
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c_i, c_j, weight) for every intersecting cluster pair."""
         lo, hi = decode_pairs(self._codes)
-        return lo, hi, self._weights(slice(None))
-
-    def query(self, ci: int, cj: int) -> int:
-        """Θ(c_i, c_j) for one pair; 0 for a pair never posted."""
-        code = pair_codes(np.array([ci]), np.array([cj]))[0]
-        idx = int(np.searchsorted(self._codes, code))
-        if idx < len(self._codes) and self._codes[idx] == code:
-            return int(self._weights(slice(idx, idx + 1))[0])
-        return 0
+        return lo, hi, self._weights()
 
     @property
     def nbytes(self) -> int:
@@ -90,8 +81,8 @@ class CMSTheta(ExactTheta):
         self.cms.add_batch(codes, counts)
         return codes, counts
 
-    def _weights(self, idx: slice) -> np.ndarray:
-        return self.cms.query_batch(self._codes[idx])
+    def _weights(self) -> np.ndarray:
+        return self.cms.query_batch(self._codes)
 
     @property
     def nbytes(self) -> int:

@@ -183,6 +183,17 @@ class TestBitIdentity:
         assert (_digest(part), _digest(game.c2p)) == PINNED[name, preset, k, variant]
 
 
+def _traced_peak(fn):
+    """``fn()``'s result and the ``tracemalloc`` peak (bytes) of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestRobustness:
     @pytest.mark.parametrize("name", ["S5P", "2PS-L", "CLUGP"])
     def test_sparse_vertex_id(self, name):
@@ -190,15 +201,36 @@ class TestRobustness:
         # clustering kernel must stay within what the numpy arrays it
         # replaced took (48.6 MiB for S5P).
         e = np.array([[0, 1], [1, 10**6], [2, 0]], dtype=np.int64)
-        tracemalloc.start()
-        try:
-            part = PARTITIONERS[name](e, 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        part, peak = _traced_peak(lambda: PARTITIONERS[name](e, 4))
         assert len(part) == len(e)
         assert 0 <= part.min() and part.max() < 4
         assert peak < 50 * 2**20
+
+    def test_theta_peak_memory(self):
+        # Each block is reduced to its distinct pairs before it meets the
+        # store, so the peak is one block's gathers and codes: 2.86× the
+        # edge array on IN bench at k=64, against 4.55× for sorting each
+        # raw block together with the store.
+        e = standin_edges("IN", "bench")
+        cl = skewness_aware_clustering(e, 64)
+
+        def feed():
+            theta = CMSTheta()
+            for cu, cv in cl.cut_pair_blocks():
+                theta.add_pairs(cu, cv)
+
+        _, peak = _traced_peak(feed)
+        assert peak < 3.5 * e.nbytes
+
+    def test_replication_factor_np_peak_memory(self):
+        # One (vertex, partition) code per edge end and one sort of it:
+        # 2.25× the edge array on IN full, against 4.25× for building
+        # the codes from concatenated, widened copies of the columns.
+        e = standin_edges("IN", "full")
+        part, _ = s5p_partition_np(e, 64)
+        rf, peak = _traced_peak(lambda: replication_factor_np(e, part, 64))
+        assert rf > 1
+        assert peak < 3.25 * e.nbytes
 
     @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
     def test_unused_ids_do_not_move_the_partition(self, name):

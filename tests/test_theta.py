@@ -23,23 +23,43 @@ class TestPairCodes:
         assert len(np.unique(pair_codes(ci, cj))) == 4
 
 
+def _counts(th) -> dict[tuple[int, int], int]:
+    """The store's Θ counts by (lower, higher) cluster id, read from pairs()."""
+    return {(int(lo), int(hi)): int(w) for lo, hi, w in zip(*th.pairs())}
+
+
 class TestExactTheta:
     def test_counts(self):
+        # (2, 1) and (1, 2) are one unordered pair
         th = ExactTheta()
         th.add_pairs(np.array([1, 1, 2]), np.array([2, 2, 1]))
-        assert th.query(1, 2) == 3
-        assert th.query(2, 1) == 3
+        assert _counts(th) == {(1, 2): 3}
 
     def test_missing_pair_zero(self):
         th = ExactTheta()
         th.add_pairs(np.array([1]), np.array([2]))
-        assert th.query(3, 4) == 0
+        assert _counts(th).get((3, 4), 0) == 0
 
     def test_incremental_adds(self):
         th = ExactTheta()
-        th.add_pairs(np.array([1]), np.array([2]))
-        th.add_pairs(np.array([2]), np.array([1]))
-        assert th.query(1, 2) == 2
+        th.add_pairs(np.array([1, 5]), np.array([2, 6]))
+        th.add_pairs(np.array([2, 0]), np.array([1, 3]))
+        assert _counts(th) == {(0, 3): 1, (1, 2): 2, (5, 6): 1}
+
+    def test_batches_equal_one_batch(self):
+        # merging each batch's distinct pairs keeps the exact counts of
+        # posting every pair at once, and returns each batch's own counts
+        g = np.random.default_rng(5)
+        ci, cj = g.integers(0, 30, 3000), g.integers(0, 30, 3000)
+        whole, parts = ExactTheta(), ExactTheta()
+        whole.add_pairs(ci, cj)
+        for block in np.array_split(np.arange(3000), 4):
+            codes, counts = parts.add_pairs(ci[block], cj[block])
+            ref, ref_counts = np.unique(pair_codes(ci[block], cj[block]), return_counts=True)
+            np.testing.assert_array_equal(codes, ref)
+            np.testing.assert_array_equal(counts, ref_counts)
+        for a, b in zip(whole.pairs(), parts.pairs()):
+            np.testing.assert_array_equal(a, b)
 
     def test_pairs_listing(self):
         th = ExactTheta()
@@ -73,15 +93,6 @@ class TestCMSTheta:
         le, he, _ = exact.pairs()
         la, ha, _ = approx.pairs()
         assert set(zip(le, he)) == set(zip(la, ha))
-
-    def test_query_matches_pairs(self):
-        g = np.random.default_rng(3)
-        th = CMSTheta()
-        th.add_pairs(g.integers(0, 40, 2000), g.integers(40, 80, 2000))
-        for lo, hi, w in zip(*th.pairs()):
-            assert th.query(int(hi), int(lo)) == w
-        # every sketch cell is non-zero, so only the seen-pair lookup gives 0
-        assert th.query(1000, 1001) == 0
 
     def test_sketch_equals_per_insert_feed(self):
         # CMS linearity: posting each batch's distinct pairs with their
