@@ -88,7 +88,12 @@ class ClusteringResult:
 
     @property
     def cut_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All blocks of :meth:`cut_pair_blocks` as one ``(c_u, c_v)`` pair."""
+        """All blocks of :meth:`cut_pair_blocks` as one ``(c_u, c_v)`` pair.
+
+        Nothing in the package reads it: the pipeline feeds Θ block by
+        block. It stays for the tests that compose the stages by hand and
+        for perfbench's ``traced_s5p``, which still feeds Θ through it.
+        """
         blocks = list(self.cut_pair_blocks())
         return (
             np.concatenate([pu for pu, _ in blocks]),

@@ -1,10 +1,12 @@
 """S5P: the full Skewness-aware Vertex-cut Streaming Partitioner.
 
-Pipeline (Figure 2): skewness-aware clustering (Alg. 1) → two-stage
-Stackelberg game over clusters (Alg. 2) → edge-level postprocessing
-(Alg. 3). Jobs reach it through the partitioner registry in
-:mod:`repro.baselines.api`, whose Spark wrapper does the DataFrame round
-trip.
+Pipeline (Figure 2): skewness-aware clustering (Alg. 1) → Θ →
+two-stage Stackelberg game over clusters (Alg. 2) → edge-level
+postprocessing (Alg. 3). This is the one place that runs the stages in
+sequence: CLUGP is the same pipeline at other arguments
+(:mod:`repro.baselines.clugp`). Jobs reach it through the partitioner
+registry in :mod:`repro.baselines.api`, whose Spark wrapper does the
+DataFrame round trip.
 """
 from __future__ import annotations
 
@@ -48,13 +50,15 @@ def s5p_partition_np(
     max_rounds: int = 64,
     one_stage: bool = False,
     bounded: bool = False,
+    split: bool = False,
 ) -> tuple[np.ndarray, S5PStats]:
     """Partition an arrival-ordered edge array into ``k`` partitions.
 
     ``bounded=True`` selects S5P-B (global degrees everywhere, no κ and
     no maxLoad — the variant of Theorem 2). ``one_stage=True`` collapses
-    the Stackelberg structure (ablation). Returns (partition per edge,
-    stats).
+    the Stackelberg structure (ablation). ``split`` is clustering's
+    splitting of full tail clusters (CLUGP's). Returns (partition per
+    edge, stats).
     """
     stats = S5PStats(n_edges=len(edges))
     t0 = time.perf_counter()
@@ -64,6 +68,7 @@ def s5p_partition_np(
         beta=beta,
         kappa=np.inf if bounded else None,
         use_local_degrees=not bounded,
+        split=split,
     )
     stats.timings["clustering"] = time.perf_counter() - t0
     stats.n_vertices = clustering.n_vertices
@@ -76,6 +81,7 @@ def s5p_partition_np(
     theta = CMSTheta() if use_cms else ExactTheta()
     for cu, cv in clustering.cut_pair_blocks():
         theta.add_pairs(cu, cv)
+    del cu, cv  # the last block, often the largest, is not needed past Θ
     stats.theta_bytes = theta.nbytes
     stats.timings["theta"] = time.perf_counter() - t0
 

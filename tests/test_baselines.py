@@ -265,6 +265,14 @@ PINNED = {
     ("CLUGP", "IN", "bench", 64): "04f0ea171eb216a0",
 }
 
+#: (graph, preset, k) -> digest of CLUGP at τ = 0.8, where the load cap
+#: binds (both differ from the τ = 1 cells above). Pinned from CLUGP's own
+#: stage sequence, before it became a call of S5P's pipeline.
+PINNED_CLUGP_TAU = {
+    ("LJ", "test", 8): "a0263e561b9c4721",
+    ("IN", "test", 8): "32caad6c6f73c54b",
+}
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("name,graph,preset,k", sorted(PINNED))
@@ -272,3 +280,9 @@ class TestBitIdentity:
         part = PARTITIONERS[name](standin_edges(graph, preset), k)
         digest = hashlib.sha256(part.tobytes()).hexdigest()[:16]
         assert digest == PINNED[name, graph, preset, k]
+
+    @pytest.mark.parametrize("graph,preset,k", sorted(PINNED_CLUGP_TAU))
+    def test_clugp_below_cap(self, graph, preset, k):
+        part = PARTITIONERS["CLUGP"](standin_edges(graph, preset), k, tau=0.8)
+        digest = hashlib.sha256(part.tobytes()).hexdigest()[:16]
+        assert digest == PINNED_CLUGP_TAU[graph, preset, k]

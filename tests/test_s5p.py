@@ -222,6 +222,15 @@ class TestRobustness:
         _, peak = _traced_peak(feed)
         assert peak < 3.5 * e.nbytes
 
+    def test_s5p_peak_memory(self):
+        # The last Θ block (tail×tail, usually the largest) is released
+        # before the game: 3.04× the edge array on LJ full at k=64,
+        # against 3.64× while it stayed alive through the game and Alg. 3.
+        e = standin_edges("LJ", "full")
+        (part, _), peak = _traced_peak(lambda: s5p_partition_np(e, 64))
+        assert len(part) == len(e)
+        assert peak < 3.3 * e.nbytes
+
     def test_replication_factor_np_peak_memory(self):
         # One (vertex, partition) code per edge end and one sort of it:
         # 2.25× the edge array on IN full, against 4.25× for building
