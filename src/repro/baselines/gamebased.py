@@ -176,6 +176,10 @@ def cvsp_partition(
     first-fit by edge count. Separator-incident edges are spread
     round-robin, replicating separator vertices widely — the high-RF
     profile Table 4 shows for CVSP on skewed graphs.
+
+    τ caps a component's size only when a vertex is admitted. The
+    round-robin separator edges are placed with no cap, so a partition
+    can exceed τ·|E|/k: Table 4's balance is 1.61 on LJ and 1.97 on G6.
     """
     t0 = time.perf_counter()
     n_e = len(edges)

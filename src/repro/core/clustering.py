@@ -33,7 +33,7 @@ class ClusteringResult:
     for the views that the game and Alg. 3 read.
     """
 
-    n_vertices: int
+    n_vertices: int  # |V|: the vertices with an edge (ξ's and Table 2's count)
     n_edges: int
     xi: float
     kappa: float
@@ -213,7 +213,8 @@ def skewness_aware_clustering(
     n_e = len(edges)
     degrees = degrees_np(edges, n_v)
     # |V| counts the vertices with an edge; ids without one only size tables
-    xi = head_threshold(int(np.count_nonzero(degrees)), n_e, beta)
+    n_vertices = int(np.count_nonzero(degrees))
+    xi = head_threshold(n_vertices, n_e, beta)
     if kappa is None:
         kappa = cluster_capacity(n_e, k)
 
@@ -224,7 +225,7 @@ def skewness_aware_clustering(
         src, dst, eh, degrees, kappa, split=split, tail_moves_global=not use_local_degrees
     )
     return ClusteringResult(
-        n_vertices=n_v,
+        n_vertices=n_vertices,
         n_edges=n_e,
         xi=xi,
         kappa=kappa,

@@ -86,16 +86,19 @@ def s5p_partition_np(
     stats.timings["theta"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    pairs = theta.pairs()
+    del theta  # the game reads only the pair arrays
     game: GameResult = stackelberg_game(
         clustering.n_clusters,
         clustering.cluster_sizes,
         clustering.cluster_is_head,
-        theta.pairs(),
+        pairs,
         k,
         batch_size=batch_size,
         max_rounds=max_rounds,
         one_stage=one_stage,
     )
+    del pairs  # nor does Alg. 3 read them
     stats.timings["game"] = time.perf_counter() - t0
     stats.delta = game.delta
     stats.game_rounds = game.rounds

@@ -231,6 +231,15 @@ class TestRobustness:
         assert len(part) == len(e)
         assert peak < 3.3 * e.nbytes
 
+    def test_clugp_peak_memory(self):
+        # The Θ store is released before the game and its pair arrays
+        # after it: 7.50× the edge array on LJ full at k=64, against
+        # 8.01× while both stayed alive through the game and Alg. 3.
+        e = standin_edges("LJ", "full")
+        part, peak = _traced_peak(lambda: PARTITIONERS["CLUGP"](e, 64))
+        assert len(part) == len(e)
+        assert peak < 7.75 * e.nbytes
+
     def test_replication_factor_np_peak_memory(self):
         # One (vertex, partition) code per edge end and one sort of it:
         # 2.25× the edge array on IN full, against 4.25× for building
@@ -244,11 +253,12 @@ class TestRobustness:
     @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
     def test_unused_ids_do_not_move_the_partition(self, name):
         # ξ = β·2|E|/|V| counts the vertices with an edge, so ids that
-        # no edge uses do not lower it.
+        # no edge uses do not lower it, nor the reported |V|.
         e = standin_edges(name, "test")
-        part, _ = s5p_partition_np(e, 8)
-        spread, _ = s5p_partition_np(3 * e + 1, 8)
+        part, stats = s5p_partition_np(e, 8)
+        spread, spread_stats = s5p_partition_np(3 * e + 1, 8)
         np.testing.assert_array_equal(part, spread)
+        assert stats.n_vertices == spread_stats.n_vertices == len(np.unique(e))
 
 
 class TestSparkEntry:
