@@ -17,6 +17,7 @@ response (which carries the potential-function convergence guarantee).
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ class GameResult:
     delta: float
     welfare: float
     moves_per_round: list[int]  # clusters that changed partition, per round
+    n_players: int  # active clusters: the clusters that respond each round
 
 
 class ClusterGraph:
@@ -84,17 +86,24 @@ def delta_max(cluster_graph: ClusterGraph, k: int) -> float:
 
 
 def initial_assignment(sizes: np.ndarray, k: int) -> np.ndarray:
-    """Greedy least-loaded initial C2P (deterministic; ``sizes`` ≥ 0)."""
+    """Greedy least-loaded initial C2P (deterministic; ``sizes`` ≥ 0).
+
+    Each item goes to the least-loaded partition, the lowest id on ties:
+    the top of a heap of (load, partition) pairs, which is ``argmin`` of
+    the loads.
+    """
     order = np.argsort(-sizes, kind="stable")
     n_placed = int(np.count_nonzero(sizes > 0))
-    loads = np.zeros(k)
+    heap = [(0.0, p) for p in range(k)]
+    placed = []
+    for size in sizes[order[:n_placed]].tolist():
+        load, p = heap[0]
+        placed.append(p)
+        heapq.heapreplace(heap, (load + size, p))
     c2p = np.zeros(len(sizes), dtype=np.int64)
-    for c in order[:n_placed]:
-        p = int(np.argmin(loads))
-        c2p[c] = p
-        loads[p] += sizes[c]
+    c2p[order[:n_placed]] = placed
     # Empty items come last and add no load: all get the final argmin.
-    c2p[order[n_placed:]] = int(np.argmin(loads))
+    c2p[order[n_placed:]] = heap[0][1]
     return c2p
 
 
@@ -106,39 +115,46 @@ def stackelberg_initial_assignment(
     Leaders (head clusters) are packed least-loaded-first by
     :func:`initial_assignment`. Followers then *respond*: each tail
     cluster starts in the partition holding the largest Θ mass of
-    already-placed neighbors (leaders and earlier followers), falling
-    back to least-loaded. This encodes the first-mover advantage of
-    Section 2.2 — the one-stage game cannot use it because it has no
-    leader set.
+    already-placed neighbors (leaders and earlier followers; the lowest
+    partition id on ties), falling back to least-loaded. This encodes
+    the first-mover advantage of Section 2.2 — the one-stage game cannot
+    use it because it has no leader set.
+
+    Which neighbours are already placed when a follower responds is
+    fixed by the placing order, so they are gathered for all followers
+    at once; each follower then sums its placed neighbours' Θ masses by
+    partition in one ``bincount``.
     """
     c2p = np.full(g.n, -1, dtype=np.int64)
     heads = np.flatnonzero(cluster_is_head)
     c2p[heads] = initial_assignment(g.sizes[heads], k)
     loads = np.bincount(c2p[heads], weights=g.sizes[heads], minlength=k)
     tails = np.flatnonzero(~cluster_is_head & g.active)
-    for c in tails[np.argsort(-g.sizes[tails], kind="stable")]:
-        nbrs, w = g.neighbors(int(c))
-        placed = c2p[nbrs] >= 0
-        if placed.any():
-            mass = np.bincount(c2p[nbrs[placed]], weights=w[placed], minlength=k)
-            p = int(np.argmax(mass))
+    tails = tails[np.argsort(-g.sizes[tails], kind="stable")]
+    # rank: -1 for a leader, the placing order for a follower.
+    rank = np.full(g.n, len(tails))
+    rank[heads] = -1
+    rank[tails] = np.arange(len(tails))
+    # The CSR entries of the followers' rows, in placing order.
+    lens = g._ptr[tails + 1] - g._ptr[tails]
+    row = np.repeat(np.arange(len(tails)), lens)
+    at = np.arange(len(row)) + np.repeat(g._ptr[tails] - (np.cumsum(lens) - lens), lens)
+    nbr, wt = g._nbr[at], g._wt[at]
+    placed = rank[nbr] < row
+    nbr, wt = nbr[placed], wt[placed]
+    bounds = np.searchsorted(row[placed], np.arange(len(tails) + 1)).tolist()
+    for t, (c, size) in enumerate(zip(tails.tolist(), g.sizes[tails].tolist())):
+        s, e = bounds[t], bounds[t + 1]
+        if s < e:
+            p = int(np.bincount(c2p[nbr[s:e]], weights=wt[s:e], minlength=k).argmax())
         else:
             p = int(np.argmin(loads))
         c2p[c] = p
-        loads[p] += g.sizes[c]
+        loads[p] += size
     # A dead tail would fall back to the least-loaded partition, and
     # placing it changes no load: all of them get the final argmin.
     c2p[~cluster_is_head & ~g.active] = int(np.argmin(loads))
     return c2p
-
-
-def individual_cost(
-    g: ClusterGraph, c2p: np.ndarray, loads: np.ndarray, c: int, k: int, delta: float
-) -> float:
-    """Eq. (6) cost of cluster ``c`` under the current profile."""
-    nbrs, w = g.neighbors(c)
-    f = float(w[c2p[nbrs] != c2p[c]].sum())
-    return delta / k * g.sizes[c] * loads[c2p[c]] + (f + g.sizes[c]) / k
 
 
 def social_welfare(g: ClusterGraph, c2p: np.ndarray, k: int, delta: float) -> float:
@@ -152,45 +168,9 @@ def social_welfare(g: ClusterGraph, c2p: np.ndarray, k: int, delta: float) -> fl
     return delta * float((loads**2).sum()) / k + (2 * cut + float(loads.sum())) / k
 
 
-def total_individual_cost(g: ClusterGraph, c2p: np.ndarray, k: int, delta: float) -> float:
-    """Σ_c S_c(P(c)) — equals :func:`social_welfare` by Theorem 4."""
-    loads = np.bincount(c2p, weights=g.sizes, minlength=k)
-    return sum(individual_cost(g, c2p, loads, c, k, delta) for c in range(g.n))
-
-
-def _best_response(
-    g: ClusterGraph,
-    c: int,
-    c2p_snapshot: np.ndarray,
-    loads_snapshot: np.ndarray,
-    k: int,
-    delta: float,
-) -> int:
-    """argmin_p S_c(p) against a frozen profile; ties keep the current p."""
-    cur = c2p_snapshot[c]
-    size_c = g.sizes[c]
-    nbrs, w = g.neighbors(c)
-    w_in_p = np.bincount(c2p_snapshot[nbrs], weights=w, minlength=k)
-    cut_cost = (w_in_p.sum() - w_in_p) / k
-    loads_wo = loads_snapshot.copy()
-    loads_wo[cur] -= size_c
-    load_cost = delta / k * size_c * (loads_wo + size_c)
-    cost = load_cost + cut_cost
-    cost[cur] -= 1e-9  # strict-improvement tie-break → convergence
-    return int(np.argmin(cost))
-
-
-def synchronous_round(
-    g: ClusterGraph, c2p: np.ndarray, k: int, delta: float
-) -> np.ndarray:
-    """One fully synchronous best-response round (all clusters, frozen
-    snapshot): the reference the equilibrium-stability test checks a
-    finished game against."""
-    loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
-    out = c2p.copy()
-    for c in range(g.n):
-        out[c] = _best_response(g, c, c2p, loads, k, delta)
-    return out
+#: Most cells (players × k) one window evaluates at once: its two float64
+#: buffers then take 128 KiB each at every k.
+WINDOW_CELLS = 16384
 
 
 def _respond(
@@ -204,8 +184,9 @@ def _respond(
     cost: np.ndarray,
     cut: np.ndarray,
 ) -> int:
-    """:func:`_best_response`'s arithmetic on a mass-matrix row, into the
+    """argmin_p S_c(p) of one player from its mass-matrix row, into the
     preallocated buffers ``cost`` and ``cut``; ``a`` is ``δ/k·|c|``.
+    Ties keep the current partition ``cur``.
 
     A separate function because ``tracemalloc`` walks the allocating
     function's line table on every traced allocation, which costs more
@@ -219,6 +200,36 @@ def _respond(
     np.add(cost, cut, out=cost)
     cost[cur] -= 1e-9
     return int(cost.argmin())
+
+
+def _respond_rows(
+    m_rows: np.ndarray,
+    loads: np.ndarray,
+    cur: np.ndarray,
+    size: np.ndarray,
+    w_tot: np.ndarray,
+    k: int,
+    a: np.ndarray,
+    cost: np.ndarray,
+    cut: np.ndarray,
+) -> np.ndarray:
+    """:func:`_respond` for consecutive players against one profile: row
+    ``r`` of the ``(rows × k)`` cost takes the same IEEE operations in the
+    same order, and ``argmin`` keeps the first index on ties, so each
+    answer equals :func:`_respond`'s. ``cost`` and ``cut`` are flat
+    buffers of at least rows × k cells."""
+    n = len(cur)
+    c = cost[: n * k].reshape(n, k)
+    u = cut[: n * k].reshape(n, k)
+    rows = np.arange(n)
+    np.add(loads, size[:, None], out=c)
+    c[rows, cur] = (loads[cur] - size) + size
+    np.multiply(c, a[:, None], out=c)
+    np.subtract(w_tot[:, None], m_rows, out=u)
+    np.divide(u, k, out=u)
+    np.add(c, u, out=c)
+    c[rows, cur] -= 1e-9
+    return c.argmin(axis=1)
 
 
 def stackelberg_game(
@@ -248,8 +259,19 @@ def stackelberg_game(
     Each response reads ``M[c, p]``, the Θ mass of ``c``'s neighbours in
     partition ``p``, from a matrix kept up to date as clusters move, so
     only a move touches the neighbour lists. ``M`` and ``W_c`` are sums
-    of integer-valued Θ counts, exact in float64, so every response is
-    bit-identical to :func:`_best_response` on the same profile.
+    of integer-valued Θ counts, exact in float64.
+
+    A round sweeps each stage in windows of whole batches, each window
+    evaluated in one :func:`_respond_rows` call against the current
+    profile. The batches before the first one holding a mover keep their
+    strategies: nothing moved before them, so that profile is the one
+    they would have responded to one by one. That batch's moves are
+    applied in order, and the sweep resumes after it. The window grows
+    4× over batches that stay, up to :data:`WINDOW_CELLS` cells, and
+    falls back to one batch after a move; one player alone
+    (``batch_size=1``) goes through :func:`_respond`, which is cheaper
+    when most players move. So the profile, the rounds and the moves per
+    round are those of responding one batch after another.
     """
     g = ClusterGraph(n_clusters, sizes, theta_pairs)
     delta = delta_max(g, k)
@@ -259,53 +281,72 @@ def stackelberg_game(
         c2p = stackelberg_initial_assignment(g, cluster_is_head, k)
     loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
 
-    # Players are the active clusters, renumbered 0..n_act-1 in id order
-    # (skipping dead ids changes nothing but round time). Θ weights are
-    # positive, so every neighbour of an active cluster is active and
-    # the CSR rows of the dead ids are empty.
+    # Players are the active clusters (skipping dead ids changes nothing
+    # but round time), renumbered so each stage is a contiguous range,
+    # in id order within it. Θ weights are positive, so every neighbour
+    # of an active cluster is active and the CSR rows of the dead ids
+    # are empty.
     act = np.flatnonzero(g.active)
+    if one_stage:
+        order = act
+        stages = [(0, len(act))]
+    else:
+        head = cluster_is_head[act]
+        order = np.concatenate([act[head], act[~head]])
+        n_lead = int(head.sum())
+        stages = [(0, n_lead), (n_lead, len(act))]  # leaders, then followers
+    n = len(order)
     dense = np.full(g.n, -1, dtype=np.int64)
-    dense[act] = np.arange(len(act))
+    dense[order] = np.arange(n)
     nbr = dense[g._nbr]
     wt = g._wt
     mass = np.bincount(
-        dense[g._src] * k + c2p[g._nbr], weights=wt, minlength=len(act) * k
-    ).reshape(len(act), k)
-    part = c2p[act].tolist()
-    size = g.sizes[act].tolist()
-    w_tot = g.W[act].tolist()
-    begin = g._ptr[act].tolist()
-    end = g._ptr[act + 1].tolist()
-    if one_stage:
-        stages = [list(range(len(act)))]
-    else:
-        head = cluster_is_head[act]
-        stages = [
-            np.flatnonzero(head).tolist(),   # Stage 1: leaders
-            np.flatnonzero(~head).tolist(),  # Stage 2: followers
-        ]
+        dense[g._src] * k + c2p[g._nbr], weights=wt, minlength=n * k
+    ).reshape(n, k)
+    part = c2p[order]
+    size = g.sizes[order]
+    a = delta / k * size
+    w_tot = g.W[order]
+    begin = g._ptr[order].tolist()
+    end = g._ptr[order + 1].tolist()
 
-    cost = np.empty(k)
-    cut = np.empty(k)
+    b = batch_size
+    widest = max(b, WINDOW_CELLS // k // b * b)
+    cost = np.empty(min(widest, n) * k)
+    cut = np.empty_like(cost)
+    cost1, cut1 = cost[:k], cut[:k]
     moves_per_round: list[int] = []
     rounds = 0
     converged = False
     for rounds in range(1, max_rounds + 1):
         n_moves = 0
-        for stage in stages:
-            for start in range(0, len(stage), batch_size):
-                # A batch responds to the profile at its start: its
-                # moves are applied once all of it has responded.
-                moves = []
-                for i in stage[start : start + batch_size]:
-                    s = size[i]
-                    p = _respond(
-                        mass[i], loads, part[i], s, w_tot[i], k, delta / k * s, cost, cut
+        for lo, hi in stages:
+            pos, width = lo, b
+            while pos < hi:
+                stop = min(pos + width, hi)
+                if stop - pos == 1:
+                    best = [
+                        _respond(mass[pos], loads, part[pos], size[pos], w_tot[pos],
+                                 k, a[pos], cost1, cut1)
+                    ]
+                    moved = [0] if best[0] != part[pos] else []
+                else:
+                    best = _respond_rows(
+                        mass[pos:stop], loads, part[pos:stop], size[pos:stop],
+                        w_tot[pos:stop], k, a[pos:stop], cost, cut,
                     )
-                    if p != part[i]:
-                        moves.append((i, p))
-                for i, q in moves:
-                    p = part[i]
+                    moved = (best != part[pos:stop]).nonzero()[0].tolist()
+                if not moved:
+                    pos, width = stop, min(4 * width, widest)
+                    continue
+                # The first batch holding a mover responded to the profile
+                # at its start: apply its moves in order, resume after it.
+                after = pos + (moved[0] // b + 1) * b
+                for j in moved:
+                    i = pos + j
+                    if i >= after:
+                        break
+                    p, q = part[i], int(best[j])
                     loads[p] -= size[i]
                     loads[q] += size[i]
                     part[i] = q
@@ -313,12 +354,13 @@ def stackelberg_game(
                     rows, w = nbr[begin[i] : end[i]], wt[begin[i] : end[i]]
                     mass[rows, p] -= w
                     mass[rows, q] += w
-                n_moves += len(moves)
+                    n_moves += 1
+                pos, width = min(after, hi), b
         moves_per_round.append(n_moves)
         if not n_moves:
             converged = True
             break
-    c2p[act] = part
+    c2p[order] = part
     welfare = social_welfare(g, c2p, k, delta)
     return GameResult(
         c2p=c2p,
@@ -327,4 +369,5 @@ def stackelberg_game(
         delta=delta,
         welfare=welfare,
         moves_per_round=moves_per_round,
+        n_players=n,
     )

@@ -35,6 +35,7 @@ class S5PStats:
     game_rounds: int = 0
     game_converged: bool = False
     game_moves: int = 0  # Σ GameResult.moves_per_round
+    game_players: int = 0  # GameResult.n_players: the active clusters
     theta_bytes: int = 0
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -104,6 +105,7 @@ def s5p_partition_np(
     stats.game_rounds = game.rounds
     stats.game_converged = game.converged
     stats.game_moves = sum(game.moves_per_round)
+    stats.game_players = game.n_players
 
     t0 = time.perf_counter()
     part = assign_edges(

@@ -96,11 +96,14 @@ class CMSTheta(ExactTheta):
     def _weights(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             h = (self._a[:, None] * self._codes.astype(np.uint64) + self._b[:, None]) % _PRIME
-        cols = (h % np.uint64(self.width)).astype(np.int64)
-        rows = np.arange(self.depth)[:, None]
-        table = np.zeros((self.depth, self.width), dtype=np.int64)
-        np.add.at(table, (rows, cols), self._counts)
-        return table[rows, cols].min(axis=0)
+        cells = (h % np.uint64(self.width)).astype(np.int64)
+        cells += (np.arange(self.depth) * self.width)[:, None]  # row·w + col
+        # The float64 sums are exact: every count and cell total is an
+        # integer below 2^53.
+        table = np.bincount(
+            cells.ravel(), weights=np.tile(self._counts, self.depth), minlength=self.depth * self.width
+        )
+        return table[cells].min(axis=0).astype(np.int64)
 
     @property
     def nbytes(self) -> int:

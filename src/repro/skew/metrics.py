@@ -19,12 +19,21 @@ from repro.core.stream import degrees_df
 
 
 def regression_rho(degrees: np.ndarray) -> float:
-    """Power-law exponent from a least-squares log-log fit."""
+    """Power-law exponent from a least-squares log-log fit.
+
+    The slope is the closed form Σ(x − x̄)(y − ȳ) / Σ(x − x̄)² on plain
+    numpy sums, so ρ has the same bits in every process (``np.polyfit``
+    solves through LAPACK, and its ρ moved in the last ulps between
+    processes).
+    """
     d, f = np.unique(degrees[degrees > 0], return_counts=True)
     if len(d) < 2:
         return float("nan")
-    slope, _ = np.polyfit(np.log(d), np.log(f), 1)
-    return float(-slope)
+    x = np.log(d)
+    y = np.log(f)
+    x -= x.mean()
+    y -= y.mean()
+    return float(-(x * y).sum() / (x * x).sum())
 
 
 def pearson_skew(degrees: np.ndarray) -> tuple[float, float]:

@@ -6,20 +6,61 @@ import pytest
 
 from repro.core.clustering import skewness_aware_clustering
 from repro.core.game import (
+    WINDOW_CELLS,
     ClusterGraph,
-    _best_response,
     delta_max,
     initial_assignment,
     social_welfare,
     stackelberg_game,
     stackelberg_initial_assignment,
-    synchronous_round,
-    total_individual_cost,
 )
 from repro.core.bounds import poa_bound
 from repro.core.s5p import s5p_partition_np
 from repro.core.theta import CMSTheta, ExactTheta
 from repro.graphgen.catalog import standin_edges
+
+
+# Oracles: the cost and best response of Eq. (6) read straight from the
+# neighbour lists, which the game's mass-matrix sweep must reproduce.
+
+
+def individual_cost(g, c2p, loads, c, k, delta):
+    """Eq. (6) cost of cluster ``c`` under the current profile."""
+    nbrs, w = g.neighbors(c)
+    f = float(w[c2p[nbrs] != c2p[c]].sum())
+    return delta / k * g.sizes[c] * loads[c2p[c]] + (f + g.sizes[c]) / k
+
+
+def total_individual_cost(g, c2p, k, delta):
+    """Σ_c S_c(P(c)) — equals :func:`social_welfare` by Theorem 4."""
+    loads = np.bincount(c2p, weights=g.sizes, minlength=k)
+    return sum(individual_cost(g, c2p, loads, c, k, delta) for c in range(g.n))
+
+
+def _best_response(g, c, c2p_snapshot, loads_snapshot, k, delta):
+    """argmin_p S_c(p) against a frozen profile; ties keep the current p."""
+    cur = c2p_snapshot[c]
+    size_c = g.sizes[c]
+    nbrs, w = g.neighbors(c)
+    w_in_p = np.bincount(c2p_snapshot[nbrs], weights=w, minlength=k)
+    cut_cost = (w_in_p.sum() - w_in_p) / k
+    loads_wo = loads_snapshot.copy()
+    loads_wo[cur] -= size_c
+    load_cost = delta / k * size_c * (loads_wo + size_c)
+    cost = load_cost + cut_cost
+    cost[cur] -= 1e-9  # strict-improvement tie-break → convergence
+    return int(np.argmin(cost))
+
+
+def synchronous_round(g, c2p, k, delta):
+    """One fully synchronous best-response round (all clusters, frozen
+    snapshot): the reference the equilibrium-stability test checks a
+    finished game against."""
+    loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
+    out = c2p.copy()
+    for c in range(g.n):
+        out[c] = _best_response(g, c, c2p, loads, k, delta)
+    return out
 
 
 def _setup(name="LJ", k=8):
@@ -88,6 +129,26 @@ class TestInitialAssignment:
     def test_within_range(self):
         c2p = initial_assignment(np.arange(50, dtype=float), 8)
         assert c2p.min() >= 0 and c2p.max() < 8
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_ties_match_reference(self, k):
+        sizes = np.array([3.0, 3.0, 0.0, 2.0, 2.0, 2.0, 1.0, 0.0, 5.0, 1.0])
+        np.testing.assert_array_equal(
+            initial_assignment(sizes, k), _reference_initial_assignment(sizes, k)
+        )
+
+    @pytest.mark.parametrize("k", [8, 64, 256])
+    @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
+    def test_standins_match_reference(self, name, k):
+        n, sizes, head, pairs = _game_inputs(name, k, True)
+        g = ClusterGraph(n, sizes, pairs)
+        np.testing.assert_array_equal(
+            stackelberg_initial_assignment(g, head, k),
+            _reference_stackelberg_initial_assignment(g, head, k),
+        )
+        np.testing.assert_array_equal(
+            initial_assignment(g.sizes, k), _reference_initial_assignment(g.sizes, k)
+        )
 
 
 class TestTheorem4:
@@ -180,17 +241,54 @@ class TestTheorem5:
         assert poa_bound(32) == 33.0
 
 
+def _reference_initial_assignment(sizes, k):
+    """:func:`initial_assignment` as one ``argmin`` of the loads per item."""
+    order = np.argsort(-sizes, kind="stable")
+    n_placed = int(np.count_nonzero(sizes > 0))
+    loads = np.zeros(k)
+    c2p = np.zeros(len(sizes), dtype=np.int64)
+    for c in order[:n_placed]:
+        p = int(np.argmin(loads))
+        c2p[c] = p
+        loads[p] += sizes[c]
+    c2p[order[n_placed:]] = int(np.argmin(loads))
+    return c2p
+
+
+def _reference_stackelberg_initial_assignment(g, cluster_is_head, k):
+    """:func:`stackelberg_initial_assignment` with one ``bincount`` of the
+    placed neighbours' masses per follower."""
+    c2p = np.full(g.n, -1, dtype=np.int64)
+    heads = np.flatnonzero(cluster_is_head)
+    c2p[heads] = _reference_initial_assignment(g.sizes[heads], k)
+    loads = np.bincount(c2p[heads], weights=g.sizes[heads], minlength=k)
+    tails = np.flatnonzero(~cluster_is_head & g.active)
+    for c in tails[np.argsort(-g.sizes[tails], kind="stable")]:
+        nbrs, w = g.neighbors(int(c))
+        placed = c2p[nbrs] >= 0
+        if placed.any():
+            mass = np.bincount(c2p[nbrs[placed]], weights=w[placed], minlength=k)
+            p = int(np.argmax(mass))
+        else:
+            p = int(np.argmin(loads))
+        c2p[c] = p
+        loads[p] += g.sizes[c]
+    c2p[~cluster_is_head & ~g.active] = int(np.argmin(loads))
+    return c2p
+
+
 def _reference_game(n_clusters, sizes, cluster_is_head, theta_pairs, k, *,
                     batch_size=1, max_rounds=64, one_stage=False):
-    """The round loop :func:`stackelberg_game` replaced: every player
-    rescans its neighbours through :func:`_best_response`. Returns
-    (c2p, rounds, converged, welfare, moves per round)."""
+    """The game as every player rescanning its neighbours through
+    :func:`_best_response`, one batch after another, from the reference
+    initial assignments. Returns (c2p, rounds, converged, welfare, moves
+    per round)."""
     g = ClusterGraph(n_clusters, sizes, theta_pairs)
     delta = delta_max(g, k)
     if one_stage:
-        c2p = initial_assignment(g.sizes, k)
+        c2p = _reference_initial_assignment(g.sizes, k)
     else:
-        c2p = stackelberg_initial_assignment(g, cluster_is_head, k)
+        c2p = _reference_stackelberg_initial_assignment(g, cluster_is_head, k)
     loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
     if one_stage:
         stages = [np.flatnonzero(g.active)]
@@ -228,8 +326,14 @@ def _reference_game(n_clusters, sizes, cluster_is_head, theta_pairs, k, *,
 
 
 @cache
-def _game_inputs(name, k, use_cms):
-    cl = skewness_aware_clustering(standin_edges(name, "test"), k)
+def _game_inputs(name, k, use_cms, preset="test", clugp=False):
+    """The game's inputs from S5P's clustering, or from CLUGP's (β = ∞,
+    full clusters split, exact Θ; CLUGP plays ``one_stage``)."""
+    e = standin_edges(name, preset)
+    if clugp:
+        cl = skewness_aware_clustering(e, k, beta=np.inf, split=True)
+    else:
+        cl = skewness_aware_clustering(e, k)
     th = CMSTheta() if use_cms else ExactTheta()
     th.add_pairs(*cl.cut_pairs)
     return cl.n_clusters, cl.cluster_sizes, cl.cluster_is_head, th.pairs()
@@ -246,19 +350,51 @@ def _assert_matches_reference(args, k, **kw):
 
 
 class TestReferenceLoop:
-    """The mass-matrix loop of :func:`stackelberg_game` reproduces the
-    neighbour-rescanning loop bit for bit."""
+    """The windowed mass-matrix sweep of :func:`stackelberg_game`
+    reproduces the neighbour-rescanning loop bit for bit."""
 
     @pytest.mark.parametrize("use_cms", [True, False], ids=["cms", "exact"])
     @pytest.mark.parametrize(
         "mode",
-        [{}, {"one_stage": True}, {"batch_size": 256}],
-        ids=["two_stage", "one_stage", "batch256"],
+        [
+            {}, {"one_stage": True}, {"batch_size": 256},
+            # Batches that do not divide the stage lengths.
+            {"batch_size": 3}, {"batch_size": 7},
+            # Rounds cut short, mid-dynamics.
+            {"max_rounds": 1}, {"max_rounds": 2},
+        ],
+        ids=["two_stage", "one_stage", "batch256", "batch3", "batch7", "rounds1", "rounds2"],
     )
     @pytest.mark.parametrize("k", [8, 64, 256])
     @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
     def test_standins(self, name, k, mode, use_cms):
         _assert_matches_reference(_game_inputs(name, k, use_cms), k, **mode)
+
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, {"one_stage": True}, {"batch_size": 7}, {"batch_size": 256}],
+        ids=["two_stage", "one_stage", "batch7", "batch256"],
+    )
+    @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
+    def test_bench_k256(self, name, mode):
+        # WINDOW_CELLS // 256 = 64 players: the cap, not the stage,
+        # bounds the window, and a batch of 256 overruns it alone.
+        args = _game_inputs(name, 256, True, "bench")
+        assert ClusterGraph(args[0], args[1], args[3]).active.sum() > WINDOW_CELLS // 256
+        _assert_matches_reference(args, 256, **mode)
+
+    @pytest.mark.parametrize("k", [8, 64, 256])
+    @pytest.mark.parametrize("name", ["LJ", "IN", "OK"])
+    def test_clugp_inputs(self, name, k):
+        # No leaders: CLUGP's clusters all play in one stage.
+        _assert_matches_reference(_game_inputs(name, k, False, clugp=True), k, one_stage=True)
+
+    def test_players_reach_stats(self):
+        args = _game_inputs("IN", 8, True)
+        n_active = int(ClusterGraph(args[0], args[1], args[3]).active.sum())
+        assert stackelberg_game(*args, 8).n_players == n_active
+        _, st = s5p_partition_np(standin_edges("IN", "test"), 8)
+        assert st.game_players == n_active
 
     def test_no_theta_pairs(self):
         empty = np.zeros(0, dtype=np.int64)

@@ -1,4 +1,9 @@
 """Tests for the Section-2.3 skewness metrics (Table 2 machinery)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +37,29 @@ class TestRegressionRho:
 
     def test_degenerate_returns_nan(self):
         assert np.isnan(regression_rho(np.array([3, 3, 3])))
+
+    def test_same_bits_in_fresh_processes(self):
+        # Spark hands the degree vector over in no fixed order: each
+        # process fits a differently shuffled copy of it.
+        src = str(Path(regression_rho.__code__.co_filename).parents[2])
+        code = (
+            "import sys; import numpy as np\n"
+            "from repro.core.stream import degrees_np\n"
+            "from repro.graphgen.catalog import standin_edges\n"
+            "from repro.skew.metrics import regression_rho\n"
+            "deg = degrees_np(standin_edges('OK', 'bench'))\n"
+            "deg = np.random.default_rng(int(sys.argv[1])).permutation(deg)\n"
+            "print(regression_rho(deg).hex())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        bits = [
+            subprocess.run(
+                [sys.executable, "-c", code, str(seed)],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for seed in (0, 1)
+        ]
+        assert bits[0] == bits[1] != ""
 
 
 class TestPearson:
