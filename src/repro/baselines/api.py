@@ -66,8 +66,9 @@ def run_partitioner(
     that depends on code layout as well as on the work: on IN ``bench``
     at k=64, S5P's clustering kernel ``_allocate_migrate`` runs ≈14×
     slower traced (0.25–0.30 vs 0.018–0.020 s), ``assign_edges`` ≈8× and
-    the game ≈6×. So time a partitioner by calling ``PARTITIONERS[name]``
-    directly, not through this wrapper.
+    the game ≈8× (0.056 vs 0.007 s; its windowed sweep cut the untraced
+    time more than the traced one). So time a partitioner by calling
+    ``PARTITIONERS[name]`` directly, not through this wrapper.
     """
     fn = PARTITIONERS[name]
     tracemalloc.start()

@@ -21,7 +21,8 @@ from repro.graphgen.catalog import standin_edges
 
 
 # Oracles: the cost and best response of Eq. (6) read straight from the
-# neighbour lists, which the game's mass-matrix sweep must reproduce.
+# neighbour lists, and the initial assignments one item at a time, which
+# the game's set-up and mass-matrix sweep must reproduce.
 
 
 def individual_cost(g, c2p, loads, c, k, delta):
@@ -61,6 +62,42 @@ def synchronous_round(g, c2p, k, delta):
     for c in range(g.n):
         out[c] = _best_response(g, c, c2p, loads, k, delta)
     return out
+
+
+def _reference_initial_assignment(sizes, k):
+    """:func:`initial_assignment` as one ``argmin`` of the loads per item."""
+    order = np.argsort(-sizes, kind="stable")
+    n_placed = int(np.count_nonzero(sizes > 0))
+    loads = np.zeros(k)
+    c2p = np.zeros(len(sizes), dtype=np.int64)
+    for c in order[:n_placed]:
+        p = int(np.argmin(loads))
+        c2p[c] = p
+        loads[p] += sizes[c]
+    c2p[order[n_placed:]] = int(np.argmin(loads))
+    return c2p
+
+
+def _reference_stackelberg_initial_assignment(g, cluster_is_head, k):
+    """:func:`stackelberg_initial_assignment` with one ``bincount`` of the
+    placed neighbours' masses per follower."""
+    c2p = np.full(g.n, -1, dtype=np.int64)
+    heads = np.flatnonzero(cluster_is_head)
+    c2p[heads] = _reference_initial_assignment(g.sizes[heads], k)
+    loads = np.bincount(c2p[heads], weights=g.sizes[heads], minlength=k)
+    tails = np.flatnonzero(~cluster_is_head & g.active)
+    for c in tails[np.argsort(-g.sizes[tails], kind="stable")]:
+        nbrs, w = g.neighbors(int(c))
+        placed = c2p[nbrs] >= 0
+        if placed.any():
+            mass = np.bincount(c2p[nbrs[placed]], weights=w[placed], minlength=k)
+            p = int(np.argmax(mass))
+        else:
+            p = int(np.argmin(loads))
+        c2p[c] = p
+        loads[p] += g.sizes[c]
+    c2p[~cluster_is_head & ~g.active] = int(np.argmin(loads))
+    return c2p
 
 
 def _setup(name="LJ", k=8):
@@ -239,42 +276,6 @@ class TestTheorem5:
 
     def test_poa_formula(self):
         assert poa_bound(32) == 33.0
-
-
-def _reference_initial_assignment(sizes, k):
-    """:func:`initial_assignment` as one ``argmin`` of the loads per item."""
-    order = np.argsort(-sizes, kind="stable")
-    n_placed = int(np.count_nonzero(sizes > 0))
-    loads = np.zeros(k)
-    c2p = np.zeros(len(sizes), dtype=np.int64)
-    for c in order[:n_placed]:
-        p = int(np.argmin(loads))
-        c2p[c] = p
-        loads[p] += sizes[c]
-    c2p[order[n_placed:]] = int(np.argmin(loads))
-    return c2p
-
-
-def _reference_stackelberg_initial_assignment(g, cluster_is_head, k):
-    """:func:`stackelberg_initial_assignment` with one ``bincount`` of the
-    placed neighbours' masses per follower."""
-    c2p = np.full(g.n, -1, dtype=np.int64)
-    heads = np.flatnonzero(cluster_is_head)
-    c2p[heads] = _reference_initial_assignment(g.sizes[heads], k)
-    loads = np.bincount(c2p[heads], weights=g.sizes[heads], minlength=k)
-    tails = np.flatnonzero(~cluster_is_head & g.active)
-    for c in tails[np.argsort(-g.sizes[tails], kind="stable")]:
-        nbrs, w = g.neighbors(int(c))
-        placed = c2p[nbrs] >= 0
-        if placed.any():
-            mass = np.bincount(c2p[nbrs[placed]], weights=w[placed], minlength=k)
-            p = int(np.argmax(mass))
-        else:
-            p = int(np.argmin(loads))
-        c2p[c] = p
-        loads[p] += g.sizes[c]
-    c2p[~cluster_is_head & ~g.active] = int(np.argmin(loads))
-    return c2p
 
 
 def _reference_game(n_clusters, sizes, cluster_is_head, theta_pairs, k, *,
