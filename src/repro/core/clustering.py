@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .stream import degrees_np, iter_chunks
+from .stream import chunk_slices, degrees_np, iter_chunks
 
 
 @dataclass
@@ -37,8 +37,8 @@ class ClusteringResult:
     n_edges: int
     xi: float
     kappa: float
-    v2c_head: np.ndarray  # vertex -> head-cluster id, -1 if none
-    v2c_tail: np.ndarray  # vertex -> tail-cluster id, -1 if none
+    v2c_head: np.ndarray  # vertex -> head-cluster id, -1 if none (int32 below 2^31 clusters)
+    v2c_tail: np.ndarray  # vertex -> tail-cluster id, -1 if none (same dtype)
     edge_is_head: np.ndarray  # bool per edge
     n_clusters: int
     cluster_is_head: np.ndarray  # bool per cluster id
@@ -46,15 +46,34 @@ class ClusteringResult:
     edges_src: np.ndarray  # view of the stream's src column (arrival order)
     edges_dst: np.ndarray  # view of the stream's dst column
 
+    def _clusters_of(self, ends: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """Cluster of each endpoint, from the table its edge's type uses."""
+        return np.where(head, self.v2c_head[ends], self.v2c_tail[ends])
+
     @cached_property
     def edge_cu(self) -> np.ndarray:
-        """Per-edge cluster of src, from the table its edge type uses."""
-        return np.where(self.edge_is_head, self.v2c_head[self.edges_src], self.v2c_tail[self.edges_src])
+        """Per-edge cluster of src, for the whole stream at once.
+
+        The pipeline reads :meth:`edge_cluster_chunks` instead; the
+        |E|-long view stays for the tests and perfbench.
+        """
+        return self._clusters_of(self.edges_src, self.edge_is_head)
 
     @cached_property
     def edge_cv(self) -> np.ndarray:
-        """Per-edge cluster of dst, from the table its edge type uses."""
-        return np.where(self.edge_is_head, self.v2c_head[self.edges_dst], self.v2c_tail[self.edges_dst])
+        """Per-edge cluster of dst, for the whole stream at once."""
+        return self._clusters_of(self.edges_dst, self.edge_is_head)
+
+    def edge_cluster_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(c_u, c_v, is_head)`` per stream chunk, in arrival order.
+
+        Chunks of :attr:`edge_cu`, :attr:`edge_cv` and ``edge_is_head``,
+        built one at a time (:func:`chunk_slices`), so Alg. 3 holds no
+        |E|-long cluster array.
+        """
+        for sl in chunk_slices(self.n_edges):
+            head = self.edge_is_head[sl]
+            yield self._clusters_of(self.edges_src[sl], head), self._clusters_of(self.edges_dst[sl], head), head
 
     @cached_property
     def cluster_sizes(self) -> np.ndarray:
@@ -62,8 +81,22 @@ class ClusteringResult:
 
         Each edge is *owned* by its src endpoint's cluster, which
         partitions E exactly (Σ|c_i| = |E|) as the cost functions require.
+        Counted per vertex, so no per-edge cluster array is built: a
+        vertex's head edges as src go to its head cluster, the rest of
+        its edges as src to its tail cluster. ``np.add.at`` reads the
+        strided src column in place, where ``np.bincount`` would copy
+        it; the one per-edge temporary is the head edges' src ids.
         """
-        return np.bincount(self.edge_cu, minlength=self.n_clusters).astype(np.int64)
+        n_v = len(self.v2c_head)
+        as_src = np.zeros(n_v, dtype=np.int64)
+        np.add.at(as_src, self.edges_src, 1)
+        head_as_src = np.bincount(self.edges_src[self.edge_is_head], minlength=n_v)
+        sizes = np.zeros(self.n_clusters, dtype=np.int64)
+        for table, owned in ((self.v2c_head, head_as_src), (self.v2c_tail, as_src - head_as_src)):
+            owns = owned > 0  # such a vertex has a cluster in ``table``
+            # float64 sums are exact below 2^53; an empty bincount is int64
+            sizes += np.bincount(table[owns], weights=owned[owns], minlength=self.n_clusters).astype(np.int64)
+        return sizes
 
     def cut_pair_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Cluster pairs spanned by edges, under *vertex membership*.
@@ -75,16 +108,21 @@ class ClusteringResult:
         leaders' (head clusters') moves steer followers — without
         them the two game stages would be independent games.
 
-        Yields one ``(c_u, c_v)`` block per (head|tail)×(head|tail)
-        table pair, so a Θ store can take them one at a time.
+        Walks the stream one chunk at a time (:func:`chunk_slices`) and
+        yields one ``(c_u, c_v)`` block per chunk, holding its
+        (head|tail)×(head|tail) table pairs. A Θ store takes the blocks
+        one at a time, so this stage's temporaries are O(chunk).
         """
-        tables = (self.v2c_head, self.v2c_tail)
-        for tu in tables:
-            pu = tu[self.edges_src]
-            for tv in tables:
-                pv = tv[self.edges_dst]
-                valid = (pu >= 0) & (pv >= 0) & (pu != pv)
-                yield pu[valid], pv[valid]
+        for sl in chunk_slices(self.n_edges):
+            src, dst = self.edges_src[sl], self.edges_dst[sl]
+            hu, tu = self.v2c_head[src], self.v2c_tail[src]
+            hv, tv = self.v2c_head[dst], self.v2c_tail[dst]
+            # head×head, head×tail, tail×head, tail×tail
+            cu = np.concatenate([hu, hu, tu, tu])
+            cv = np.concatenate([hv, tv, hv, tv])
+            # take() by index beats two boolean-mask copies here
+            cut = np.flatnonzero((cu >= 0) & (cv >= 0) & (cu != cv))
+            yield cu.take(cut), cv.take(cut)
 
     @property
     def cut_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +132,9 @@ class ClusteringResult:
         block. It stays for the tests that compose the stages by hand and
         for perfbench's ``traced_s5p``, which still feeds Θ through it.
         """
-        blocks = list(self.cut_pair_blocks())
-        return (
-            np.concatenate([pu for pu, _ in blocks]),
-            np.concatenate([pv for _, pv in blocks]),
-        )
+        empty = np.zeros(0, dtype=self.v2c_tail.dtype)  # the empty stream yields no block
+        cu, cv = zip(*self.cut_pair_blocks(), (empty, empty))
+        return np.concatenate(cu), np.concatenate(cv)
 
 
 def head_threshold(n_vertices: int, n_edges: int, beta: float = 1.0) -> float:
@@ -188,8 +224,11 @@ def _allocate_migrate(
 
     # Drop the degree lists before the tables become arrays (lower peak).
     del ld, d, ldeg
-    v2c_h = np.array(v2c_h, dtype=np.int64)
-    v2c_t = np.array(v2c_t, dtype=np.int64)
+    # Cluster ids (and -1) fit int32 while there are fewer than 2^31
+    # clusters; the per-edge gathers through the tables are then half size.
+    ids = np.int32 if len(vol) <= np.iinfo(np.int32).max else np.int64
+    v2c_h = np.array(v2c_h, dtype=ids)
+    v2c_t = np.array(v2c_t, dtype=ids)
     return v2c_h, v2c_t, np.array(vol, dtype=np.float64), np.array(is_head_c, dtype=bool)
 
 

@@ -5,15 +5,18 @@ partitions of its endpoints' clusters (head table for head edges, tail
 table otherwise) and goes to the less-loaded of the two; if both are
 over the cap L = ⌈τ|E|/k⌉, head edges scan partitions first→last and
 tail edges last→first for free space (the skew-aware overflow rule that
-concentrates head and tail overflow at opposite ends).
+concentrates head and tail overflow at opposite ends). The pass reads
+the stream one chunk at a time, so it holds the output, the loads and
+O(chunk) temporaries.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
-from .stream import iter_chunks
+from .stream import chunk_slices
 
 
 def max_load(n_edges: int, k: int, tau: float = 1.0) -> int:
@@ -30,26 +33,45 @@ def assign_edges(
     *,
     tau: float = 1.0,
 ) -> np.ndarray:
-    """Run Algorithm 3; returns the per-edge partition array.
+    """Run Algorithm 3 over per-edge arrays; returns the partition per edge.
 
     Inputs are per-edge endpoint-cluster ids (in arrival order), the
     head/tail flag per edge, and the game's cluster→partition map.
     ``tau=inf`` disables the load cap (the S5P-B variant removes
-    maxLoad).
+    maxLoad). The arrays are read one stream chunk at a time
+    (:func:`chunk_slices`) by :func:`assign_edge_chunks`.
     """
     n_e = len(edge_cu)
-    cap = max_load(n_e, k, tau) if math.isfinite(tau) else n_e + 1
-    pu = c2p[edge_cu]
-    pv = c2p[edge_cv]
+    chunks = ((edge_cu[sl], edge_cv[sl], edge_is_head[sl]) for sl in chunk_slices(n_e))
+    return assign_edge_chunks(chunks, n_e, c2p, k, tau=tau)
+
+
+def assign_edge_chunks(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    n_edges: int,
+    c2p: np.ndarray,
+    k: int,
+    *,
+    tau: float = 1.0,
+) -> np.ndarray:
+    """Run Algorithm 3 over a stream of ``n_edges`` edges given by chunks.
+
+    ``chunks`` yields ``(c_u, c_v, is_head)`` per chunk in arrival order
+    (:meth:`~repro.core.clustering.ClusteringResult.edge_cluster_chunks`).
+    Each chunk's endpoint partitions are gathered through ``c2p`` as it
+    arrives, so besides the output only O(chunk) temporaries are built.
+    """
+    cap = max_load(n_edges, k, tau) if math.isfinite(tau) else n_edges + 1
     loads = [0] * k
     # Loads only grow, so the first partition with space from the front
     # (head scan) and the last from the back (tail scan) never move back:
     # each overflow scan resumes where the previous one stopped.
     front, back = 0, k - 1
-    out = np.empty(n_e, dtype=np.int64)
-    for s, rows in iter_chunks(pu, pv, edge_is_head):
+    out = np.empty(n_edges, dtype=np.int64)
+    s = 0
+    for cu, cv, is_head in chunks:
         placed = []
-        for a, b, head in rows:
+        for a, b, head in zip(c2p[cu].tolist(), c2p[cv].tolist(), is_head.tolist()):
             if loads[a] >= cap and loads[b] >= cap:
                 # overflow: skew-aware scan for any partition with space
                 if head:
@@ -70,4 +92,5 @@ def assign_edges(
             placed.append(p)
             loads[p] += 1
         out[s : s + len(placed)] = placed
+        s += len(placed)
     return out

@@ -11,13 +11,14 @@ DataFrame round trip.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import ClusteringResult, skewness_aware_clustering
 from .game import GameResult, stackelberg_game
-from .postprocess import assign_edges
+from .postprocess import assign_edge_chunks
 from .theta import CMSTheta, ExactTheta
 
 
@@ -38,6 +39,16 @@ class S5PStats:
     game_players: int = 0  # GameResult.n_players: the active clusters
     theta_bytes: int = 0
     timings: dict[str, float] = field(default_factory=dict)
+    # Running tracemalloc peak (bytes) at the end of each stage, recorded
+    # only when the run is traced; the peak is never reset, so the last
+    # entry is the run's peak so far (Table 4's Mem).
+    stage_peaks: dict[str, int] = field(default_factory=dict)
+
+    def end_stage(self, stage: str, t0: float) -> None:
+        """Record ``stage``'s time since ``t0`` and, if traced, the peak."""
+        self.timings[stage] = time.perf_counter() - t0
+        if tracemalloc.is_tracing():
+            self.stage_peaks[stage] = tracemalloc.get_traced_memory()[1]
 
 
 def s5p_partition_np(
@@ -60,6 +71,12 @@ def s5p_partition_np(
     the Stackelberg structure (ablation). ``split`` is clustering's
     splitting of full tail clusters (CLUGP's). Returns (partition per
     edge, stats).
+
+    Past Alg. 1, Θ and Alg. 3 walk the stream one chunk at a time and the
+    cluster sizes are counted per vertex. So besides the input, the run
+    holds O(|V|) int32 cluster tables, the per-edge head flags, the
+    distinct-pair Θ store, the game's cluster-level state and the
+    |E|-long output.
     """
     stats = S5PStats(n_edges=len(edges))
     t0 = time.perf_counter()
@@ -71,7 +88,7 @@ def s5p_partition_np(
         use_local_degrees=not bounded,
         split=split,
     )
-    stats.timings["clustering"] = time.perf_counter() - t0
+    stats.end_stage("clustering", t0)
     stats.n_vertices = clustering.n_vertices
     stats.n_clusters = clustering.n_clusters
     stats.n_head_clusters = int(clustering.cluster_is_head.sum())
@@ -82,9 +99,8 @@ def s5p_partition_np(
     theta = CMSTheta() if use_cms else ExactTheta()
     for cu, cv in clustering.cut_pair_blocks():
         theta.add_pairs(cu, cv)
-    del cu, cv  # the last block, often the largest, is not needed past Θ
     stats.theta_bytes = theta.nbytes
-    stats.timings["theta"] = time.perf_counter() - t0
+    stats.end_stage("theta", t0)
 
     t0 = time.perf_counter()
     pairs = theta.pairs()
@@ -100,7 +116,7 @@ def s5p_partition_np(
         one_stage=one_stage,
     )
     del pairs  # nor does Alg. 3 read them
-    stats.timings["game"] = time.perf_counter() - t0
+    stats.end_stage("game", t0)
     stats.delta = game.delta
     stats.game_rounds = game.rounds
     stats.game_converged = game.converged
@@ -108,13 +124,12 @@ def s5p_partition_np(
     stats.game_players = game.n_players
 
     t0 = time.perf_counter()
-    part = assign_edges(
-        clustering.edge_cu,
-        clustering.edge_cv,
-        clustering.edge_is_head,
+    part = assign_edge_chunks(
+        clustering.edge_cluster_chunks(),
+        clustering.n_edges,
         game.c2p,
         k,
         tau=np.inf if bounded else tau,
     )
-    stats.timings["postprocess"] = time.perf_counter() - t0
+    stats.end_stage("postprocess", t0)
     return part, stats

@@ -85,18 +85,27 @@ def degrees_np(edges: np.ndarray, n_vertices: int | None = None) -> np.ndarray:
     return np.bincount(edges.ravel(), minlength=n_vertices).astype(np.int64)
 
 
-#: Edges that :func:`iter_chunks` converts to Python scalars at once.
+#: Edges in one stream chunk: the unit of every per-edge pass after Alg. 1.
 STREAM_CHUNK = 8192
+
+
+def chunk_slices(n_edges: int) -> Iterator[slice]:
+    """Slices that cut a stream of ``n_edges`` edges into chunks.
+
+    The per-edge passes after Alg. 1 (Θ, Alg. 3) walk the stream through
+    them, so their numpy temporaries are O(chunk) rather than O(|E|).
+    """
+    for s in range(0, n_edges, STREAM_CHUNK):
+        yield slice(s, s + STREAM_CHUNK)
 
 
 def iter_chunks(*cols: np.ndarray) -> Iterator[tuple[int, Iterator[tuple]]]:
     """Yield ``(start, rows)`` per chunk of equal-length columns.
 
     ``rows`` zips the chunk's columns as Python scalars. The sequential
-    passes (Alg. 1, Alg. 3) index Python lists with them: a numpy scalar
-    costs an interpreter round trip per element. Converting one chunk at
-    a time keeps the Python copy of the stream O(chunk).
+    passes (Alg. 1, 2PS-L's phase 2) index Python lists with them: a
+    numpy scalar costs an interpreter round trip per element. Converting
+    one chunk at a time keeps the Python copy of the stream O(chunk).
     """
-    for s in range(0, len(cols[0]), STREAM_CHUNK):
-        yield s, zip(*(c[s : s + STREAM_CHUNK].tolist() for c in cols))
-
+    for sl in chunk_slices(len(cols[0])):
+        yield sl.start, zip(*(c[sl].tolist() for c in cols))

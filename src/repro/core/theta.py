@@ -6,7 +6,9 @@ store, :class:`ExactTheta`: the sorted distinct pair codes (the
 strategy-set structure) with aligned exact counts (the paper's
 red-black-tree baseline; here each batch is reduced to its distinct
 pairs and their counts, which are merged into the sorted arrays; same
-semantics).
+semantics). The store does not depend on the order of the inserts, so
+feeding it one stream chunk at a time gives the same pairs and counts
+as one whole-stream reduction.
 
 :class:`CMSTheta` (Section 4.4) reads the counts through a Count-Min
 Sketch (Cormode & Muthukrishnan) of w = ⌈e/ε⌉ columns and d = ⌈ln 1/ν⌉
@@ -55,15 +57,19 @@ class ExactTheta:
     def add_pairs(self, ci: np.ndarray, cj: np.ndarray) -> None:
         """Accumulate one count per (c_i, c_j) pair (vectorized).
 
-        The batch is reduced to its distinct pair codes and their counts,
-        which are merged into the stored sorted arrays.
+        The batch is reduced to its distinct pair codes and their counts.
+        Codes already stored add to their counts in place; new ones are
+        inserted at their sorted positions, which costs O(stored + batch)
+        per batch rather than a sort of the stored codes.
         """
         codes, counts = np.unique(pair_codes(ci, cj), return_counts=True)
-        merged = np.union1d(self._codes, codes)
-        total = np.zeros(len(merged), dtype=np.int64)
-        total[np.searchsorted(merged, self._codes)] = self._counts
-        total[np.searchsorted(merged, codes)] += counts
-        self._codes, self._counts = merged, total
+        at = np.searchsorted(self._codes, codes)
+        seen = at < len(self._codes)
+        seen[seen] = self._codes[at[seen]] == codes[seen]
+        self._counts[at[seen]] += counts[seen]
+        new = ~seen
+        self._codes = np.insert(self._codes, at[new], codes[new])
+        self._counts = np.insert(self._counts, at[new], counts[new])
 
     def _weights(self) -> np.ndarray:
         """Θ counts of the stored pairs (a fresh array)."""

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import stream
 from repro.core.clustering import (
     cluster_capacity,
     head_threshold,
     skewness_aware_clustering,
 )
 from repro.core.stream import degrees_np
+from repro.core.theta import ExactTheta, pair_codes
 from repro.graphgen.catalog import standin_edges
 from repro.graphgen.tiny import toy_graph
 
@@ -114,6 +116,13 @@ class TestInvariants:
         assert cl.n_clusters == 0
         assert cl.n_edges == 0
 
+    def test_cluster_tables_are_int32(self, lj_test):
+        # far fewer than 2^31 clusters: the tables and the per-edge views
+        # gathered through them hold int32 ids
+        cl = skewness_aware_clustering(lj_test, 8)
+        assert cl.v2c_head.dtype == cl.v2c_tail.dtype == np.int32
+        assert cl.edge_cu.dtype == cl.edge_cv.dtype == np.int32
+
     def test_beta_extremes_make_every_edge_one_kind(self, lj_test):
         # β = 0 is 2PS-L's clustering (every edge global), β = ∞ Holl's
         # and CLUGP's (every edge local); β = 1 (S5P) has both kinds.
@@ -202,3 +211,60 @@ class TestCutPairs:
         hi = skewness_aware_clustering(lj_test, 8, beta=2.0)
         # larger β → fewer head vertices → fewer head edges
         assert hi.edge_is_head.sum() < lo.edge_is_head.sum()
+
+
+#: Small enough that every stand-in crosses many chunk boundaries.
+SMALL_CHUNK = 97
+
+
+def _whole_stream_theta(cl):
+    """Θ as one ``np.unique`` reduction over the whole stream: (codes, counts)."""
+    codes = []
+    for tu in (cl.v2c_head, cl.v2c_tail):
+        for tv in (cl.v2c_head, cl.v2c_tail):
+            pu, pv = tu[cl.edges_src], tv[cl.edges_dst]
+            cut = (pu >= 0) & (pv >= 0) & (pu != pv)
+            codes.append(pair_codes(pu[cut], pv[cut]))
+    return np.unique(np.concatenate(codes), return_counts=True)
+
+
+class TestStreamChunks:
+    @pytest.mark.parametrize("name", ["LJ", "IN", "OK", "G4"])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, np.inf])
+    def test_theta_equals_whole_stream_reduction(self, monkeypatch, name, beta):
+        e = standin_edges(name, "test")
+        cl = skewness_aware_clustering(e, 8, beta=beta, split=beta == np.inf)
+        monkeypatch.setattr(stream, "STREAM_CHUNK", SMALL_CHUNK)
+        th = ExactTheta()
+        n_blocks = 0
+        for cu, cv in cl.cut_pair_blocks():
+            th.add_pairs(cu, cv)
+            n_blocks += 1
+        assert n_blocks == -(-len(e) // SMALL_CHUNK)  # one block per chunk
+        codes, counts = _whole_stream_theta(cl)
+        lo, hi, w = th.pairs()
+        np.testing.assert_array_equal(pair_codes(lo, hi), codes)
+        np.testing.assert_array_equal(w, counts)
+
+    @pytest.mark.parametrize("name", ["LJ", "IN", "OK", "G4"])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, np.inf])
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_cluster_sizes_equal_edge_bincount(self, name, beta, split, bounded):
+        # the per-vertex count gives each cluster the edges whose src it holds
+        e = standin_edges(name, "test")
+        cl = skewness_aware_clustering(
+            e, 8, beta=beta, split=split,
+            kappa=np.inf if bounded else None, use_local_degrees=not bounded,
+        )
+        sizes = cl.cluster_sizes
+        assert sizes.dtype == np.int64
+        np.testing.assert_array_equal(sizes, np.bincount(cl.edge_cu, minlength=cl.n_clusters))
+
+    def test_edge_cluster_chunks_equal_views(self, monkeypatch, lj_test):
+        cl = skewness_aware_clustering(lj_test, 8)
+        monkeypatch.setattr(stream, "STREAM_CHUNK", SMALL_CHUNK)
+        cu, cv, head = (np.concatenate(c) for c in zip(*cl.edge_cluster_chunks()))
+        np.testing.assert_array_equal(cu, cl.edge_cu)
+        np.testing.assert_array_equal(cv, cl.edge_cv)
+        np.testing.assert_array_equal(head, cl.edge_is_head)

@@ -7,7 +7,8 @@ import pytest
 from repro.core.bounds import tau_bound
 from repro.core.clustering import skewness_aware_clustering
 from repro.core.game import stackelberg_game
-from repro.core.postprocess import assign_edges, max_load
+from repro.core import stream
+from repro.core.postprocess import assign_edge_chunks, assign_edges, max_load
 from repro.core.stream import STREAM_CHUNK
 from repro.core.theta import ExactTheta
 from repro.graphgen.catalog import standin_edges
@@ -149,3 +150,36 @@ class TestOverflowCursors:
             # τ < 1 leaves room for fewer than |E| edges: the spill runs
             spilled = np.bincount(part, minlength=k).max() > max_load(n_e, k, tau)
             assert spilled == (tau < 1)
+
+
+#: Small enough that a test stream crosses chunk boundaries.
+SMALL_CHUNK = 64
+#: Streams of 0, chunk − 1, chunk and chunk + 1 edges.
+EDGE_COUNTS = [0, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("tau", [0.8, 1.0])
+    @pytest.mark.parametrize("n_e", EDGE_COUNTS)
+    def test_arrays_match_full_scan(self, monkeypatch, n_e, tau):
+        monkeypatch.setattr(stream, "STREAM_CHUNK", SMALL_CHUNK)
+        rng = np.random.default_rng(n_e)
+        k, n_c = 4, 12
+        c2p = np.minimum(rng.geometric(0.5, n_c) - 1, k - 1).astype(np.int64)
+        cu = rng.integers(0, n_c, n_e)
+        cv = rng.integers(0, n_c, n_e)
+        head = rng.random(n_e) < 0.3
+        part = assign_edges(cu, cv, head, c2p, k, tau=tau)
+        np.testing.assert_array_equal(part, _full_scan_reference(cu, cv, head, c2p, k, tau))
+
+    @pytest.mark.parametrize("n_e", EDGE_COUNTS)
+    def test_cluster_chunks_match_full_scan(self, monkeypatch, n_e):
+        # the pipeline's route: chunks gathered from the cluster tables
+        k = 4
+        cl = skewness_aware_clustering(standin_edges("LJ", "test")[:n_e], k)
+        monkeypatch.setattr(stream, "STREAM_CHUNK", SMALL_CHUNK)
+        c2p = np.arange(cl.n_clusters, dtype=np.int64) % k
+        part = assign_edge_chunks(cl.edge_cluster_chunks(), cl.n_edges, c2p, k, tau=0.8)
+        ref = _full_scan_reference(cl.edge_cu, cl.edge_cv, cl.edge_is_head, c2p, k, 0.8)
+        assert len(part) == n_e
+        np.testing.assert_array_equal(part, ref)

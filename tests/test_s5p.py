@@ -207,10 +207,9 @@ class TestRobustness:
         assert peak < 50 * 2**20
 
     def test_theta_peak_memory(self):
-        # Each block is reduced to its distinct pairs before it meets the
-        # store, so the peak is one block's gathers and codes: 2.86× the
-        # edge array on IN bench at k=64, against 4.55× for sorting each
-        # raw block together with the store.
+        # Θ is fed one stream chunk at a time, so the peak is one chunk's
+        # gathers and codes beside the store: 1.33× the edge array on IN
+        # bench at k=64, against 2.86× for one block of the whole stream.
         e = standin_edges("IN", "bench")
         cl = skewness_aware_clustering(e, 64)
 
@@ -220,25 +219,59 @@ class TestRobustness:
                 theta.add_pairs(cu, cv)
 
         _, peak = _traced_peak(feed)
-        assert peak < 3.5 * e.nbytes
+        assert peak < 1.6 * e.nbytes
 
     def test_s5p_peak_memory(self):
-        # The last Θ block (tail×tail, usually the largest) is released
-        # before the game: 3.04× the edge array on LJ full at k=64,
-        # against 3.64× while it stayed alive through the game and Alg. 3.
+        # Θ and Alg. 3 hold O(chunk) per-edge state, cluster sizes are
+        # counted per vertex and cluster ids are int32: 1.40× the edge
+        # array on LJ full at k=64, against 2.95× with whole-stream
+        # gathers and int64 tables.
         e = standin_edges("LJ", "full")
         (part, _), peak = _traced_peak(lambda: s5p_partition_np(e, 64))
         assert len(part) == len(e)
-        assert peak < 3.3 * e.nbytes
+        assert peak < 2.0 * e.nbytes
+
+    def test_s5p_bench_peak_memory(self):
+        # The spark-cell graph: 2.06× the edge array on IN bench at k=64
+        # (the clustering pass's peak), against 3.54× with whole-stream
+        # per-edge state after Alg. 1.
+        e = standin_edges("IN", "bench")
+        (part, _), peak = _traced_peak(lambda: s5p_partition_np(e, 64))
+        assert len(part) == len(e)
+        assert peak < 2.5 * e.nbytes
 
     def test_clugp_peak_memory(self):
-        # The Θ store is released before the game and its pair arrays
-        # after it: 7.50× the edge array on LJ full at k=64, against
-        # 8.01× while both stayed alive through the game and Alg. 3.
+        # CLUGP's peak is its one-stage game; the per-edge state before
+        # and after it is O(chunk): 6.87× the edge array on LJ full at
+        # k=64, against 7.41× with whole-stream gathers and int64 tables.
         e = standin_edges("LJ", "full")
         part, peak = _traced_peak(lambda: PARTITIONERS["CLUGP"](e, 64))
         assert len(part) == len(e)
-        assert peak < 7.75 * e.nbytes
+        assert peak < 7.1 * e.nbytes
+
+    def test_stage_peaks(self, lj):
+        # Recorded only under tracemalloc, and never reset: a peak set
+        # before the run stays in every stage's reading.
+        _, stats = s5p_partition_np(lj, 8)
+        assert stats.stage_peaks == {}
+        held = 4 * 2**20
+
+        def run():
+            np.ones(held, dtype=np.uint8)  # allocated and freed before S5P
+            return s5p_partition_np(lj, 8)
+
+        (_, stats), peak = _traced_peak(run)
+        peaks = list(stats.stage_peaks.values())
+        assert list(stats.stage_peaks) == list(stats.timings)
+        assert held <= peaks[0] and peaks == sorted(peaks) and peaks[-1] <= peak
+
+    @pytest.mark.parametrize("use_cms", [True, False])
+    def test_empty_stream(self, use_cms):
+        empty = np.zeros((0, 2), dtype=np.int64)
+        part, stats = s5p_partition_np(empty, 8, use_cms=use_cms)
+        assert len(part) == 0 and part.dtype == np.int64
+        assert stats.n_clusters == 0 and stats.theta_bytes >= 0
+        assert len(PARTITIONERS["CLUGP"](empty, 8)) == 0
 
     def test_replication_factor_np_peak_memory(self):
         # One (vertex, partition) code per edge end and one sort of it:
